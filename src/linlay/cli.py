@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes for solver commands: 0 a layout was found, 1 proven infeasible,
-2 the instance was refused by a size guard, >2 usage or input errors.
+2 the instance was refused by a size guard, >2 usage or input errors
+(3 for invalid arguments such as ``--pages 0`` and for malformed input).
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from .fileformats import (
 from .generators import GeneratorError, generate_instance
 from .graphs import GraphError
 from .kernel import build_reduced_graph, compute_vertex_integrity
-from .layouts import LayoutKind, page_width, validate_layout
+from .layouts import LayoutDomainError, LayoutKind, page_width, validate_layout
 from .oracle import OracleQuery, OracleSizeError, solve_exhaustive, solve_exhaustive_all
-from .runner import RequestError, SolveRequest, report_to_dict, run
+from .runner import RequestError, SolveRequest, _atomic_write, report_to_dict, run
 from .svg import emit_svg
 
 
@@ -40,21 +41,39 @@ def _write(path: str | None, data: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(data)
     else:
-        with open(f"{path}.tmp", "w") as fh:
-            fh.write(data)
-        import os
-
-        os.replace(f"{path}.tmp", path)
+        _atomic_write(path, data)
 
 
 def _kind(value: str) -> LayoutKind:
     return LayoutKind(value)
 
 
+def _at_least(least: int):
+    """Argument type: an integer no smaller than ``least``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return parse
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one line and exits 3; exit 2 means a refusal."""
+
+    def error(self, message: str):
+        self.exit(3, f"{self.prog}: error: {message}\n")
+
+
 def _add_common_solver_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--kind", type=_kind, choices=list(LayoutKind), required=True)
-    p.add_argument("--pages", type=int, required=True)
-    p.add_argument("--width", type=int, default=None)
+    p.add_argument("--pages", type=_at_least(1), required=True)
+    p.add_argument("--width", type=_at_least(0), default=None)
     p.add_argument("--out", default=None, help="write the witness layout JSON here")
     p.add_argument("--threads", type=int, default=1, help="worker-count hint")
 
@@ -214,7 +233,7 @@ def cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="linlay",
         description="Exact stack/queue layout solvers over a common graph format.",
     )
@@ -251,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernelize", help="emit the reduced graph and certificate")
     p.add_argument("graph")
-    p.add_argument("--pages", type=int, required=True)
+    p.add_argument("--pages", type=_at_least(1), required=True)
     p.add_argument("--threshold", type=int, default=None)
     p.add_argument("--out-graph", default=None)
     p.add_argument("--out-cert", default="-")
@@ -273,8 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graphs", nargs="+")
     p.add_argument("--algo", choices=["oracle", "cutset", "queue1", "kernel"], required=True)
     p.add_argument("--kind", type=_kind, choices=list(LayoutKind), required=True)
-    p.add_argument("--pages", type=int, required=True)
-    p.add_argument("--width", type=int, default=None)
+    p.add_argument("--pages", type=_at_least(1), required=True)
+    p.add_argument("--width", type=_at_least(0), default=None)
     p.add_argument("--threshold", type=int, default=None)
     p.add_argument("--guard", type=int, default=12)
     p.add_argument("--edge-guard", type=int, default=26)
@@ -289,7 +308,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (FormatError, GraphError, GeneratorError, RequestError) as exc:
+    except (FormatError, GraphError, GeneratorError, LayoutDomainError, RequestError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OracleSizeError as exc:

@@ -400,7 +400,6 @@ def _successors(
                     continue
                 page_map = dict(zip(retained, retained_pages))
                 page_map.update(zip(new_edges, combo))
-                order = srcs_y + snk_order
                 yield (
                     fy_edges,
                     srcs_y,

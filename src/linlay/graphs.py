@@ -83,9 +83,6 @@ class Graph:
     def has_edge(self, u: str, v: str) -> bool:
         return u != v and edge(u, v) in self.edge_set
 
-    def has_vertex(self, v: str) -> bool:
-        return v in self.adjacency
-
     def components(self) -> tuple[tuple[str, ...], ...]:
         """Connected components, each sorted, listed by their smallest vertex."""
         seen: set[str] = set()

@@ -48,9 +48,6 @@ class LevelAssignment:
     def h(self) -> int:
         return max(self.levels.values(), default=0)
 
-    def on_level(self, i: int) -> tuple[str, ...]:
-        return tuple(sorted(v for v, lv in self.levels.items() if lv == i))
-
 
 @dataclass(frozen=True)
 class LeveledGraph:

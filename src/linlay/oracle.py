@@ -33,8 +33,8 @@ class OracleQuery:
     def __post_init__(self) -> None:
         if self.pages < 1:
             raise ValueError("pages must be at least 1")
-        if self.max_width is not None and self.max_width < 1:
-            raise ValueError("max_width must be at least 1 when given")
+        if self.max_width is not None and self.max_width < 0:
+            raise ValueError("max_width must be nonnegative when given")
 
 
 def _guard_check(query: OracleQuery, guard: int) -> None:

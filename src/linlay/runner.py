@@ -51,6 +51,8 @@ class SolveRequest:
             raise RequestError("pages must be at least 1")
         if self.width is not None and self.width < 0:
             raise RequestError("width must be nonnegative")
+        if self.width is not None and self.algorithm in ("queue1", "kernel"):
+            raise RequestError(f"{self.algorithm} does not bound the page width")
         if self.algorithm == "queue1" and (
             self.kind is not LayoutKind.QUEUE or self.pages != 1
         ):
@@ -76,7 +78,7 @@ class RunReport:
 
 
 def _merge_component_layouts(
-    g: Graph, kind: LayoutKind, pages: int, parts: list[LinearLayout]
+    kind: LayoutKind, pages: int, parts: list[LinearLayout]
 ) -> LinearLayout:
     spine: list[str] = []
     page_map = {}
@@ -115,7 +117,7 @@ def _solve_cutset(req: SolveRequest) -> tuple[LinearLayout | None, dict[str, int
         _atomic_write(req.dump_states, "\n".join(dump_lines) + "\n")
     if not parts and g.n > 0:
         return None, counters, bound_rejected
-    return _merge_component_layouts(g, req.kind, req.pages, parts), counters, False
+    return _merge_component_layouts(req.kind, req.pages, parts), counters, False
 
 
 def _solve_kernel(req: SolveRequest) -> tuple[LinearLayout | None, dict[str, int]]:

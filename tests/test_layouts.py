@@ -5,16 +5,19 @@ import random
 
 import pytest
 
+from linlay.generators import twin_gadget
 from linlay.graphs import Graph, GraphError, edge
 from linlay.layouts import (
     Cut,
     LayoutDomainError,
     LayoutKind,
     LinearLayout,
+    _page_has_conflict,
     page_width,
     spanning_edges,
     validate_layout,
 )
+from linlay.runner import SolveRequest, run
 
 from naive import (
     naive_conflicting_pairs,
@@ -116,6 +119,105 @@ def test_validate_agrees_with_naive_enumeration_on_random_layouts():
         assert list(report.violations) == naive
         assert report.ok == (not naive)
         assert page_width(layout) == naive_page_width(layout)
+
+
+def _first_fit_layout(rng, g, kind, pages):
+    """Random spine; each edge on the first page where the naive check passes.
+
+    An edge that fits nowhere goes to a random page, so the layout is valid
+    exactly when every edge found a page.
+    """
+    spine = list(g.vertices)
+    rng.shuffle(spine)
+    assignment = {}
+    for e in g.edges:
+        for p in range(1, pages + 1):
+            trial = LinearLayout(kind, pages, tuple(spine), {**assignment, e: p})
+            if not naive_conflicting_pairs(g, trial):
+                assignment[e] = p
+                break
+        else:
+            assignment[e] = rng.randint(1, pages)
+    return LinearLayout(kind, pages, tuple(spine), assignment)
+
+
+@pytest.mark.parametrize("kind", list(LayoutKind))
+def test_validate_agrees_with_naive_enumeration_when_half_are_valid(kind):
+    rng = random.Random(13)
+    outcomes = []
+    for _ in range(120):
+        n = rng.randint(4, 11)
+        g = random_connected_graph(rng, n, rng.randint(0, n))
+        layout = _first_fit_layout(rng, g, kind, rng.randint(1, 3))
+        report = validate_layout(g, layout)
+        naive = naive_conflicting_pairs(g, layout)
+        assert list(report.violations) == naive
+        assert report.ok == (not naive)
+        assert page_width(layout) == naive_page_width(layout)
+        outcomes.append(report.ok)
+    assert 0.3 < sum(outcomes) / len(outcomes) < 0.7
+
+
+@pytest.mark.parametrize(
+    "kind, spans, conflicts",
+    [
+        # shared left end, shared right end and chained spans never conflict
+        (LayoutKind.STACK, [(1, 3), (1, 5)], False),
+        (LayoutKind.QUEUE, [(1, 3), (1, 5)], False),
+        (LayoutKind.STACK, [(1, 5), (3, 5)], False),
+        (LayoutKind.QUEUE, [(1, 5), (3, 5)], False),
+        (LayoutKind.STACK, [(1, 3), (3, 5)], False),
+        (LayoutKind.QUEUE, [(1, 3), (3, 5)], False),
+        (LayoutKind.STACK, [(0, 6), (0, 2), (2, 4), (4, 6), (1, 2)], False),
+        (LayoutKind.QUEUE, [(0, 2), (0, 3), (1, 3), (2, 4), (3, 5), (3, 6)], False),
+        # one real conflict among spans that share endpoints
+        (LayoutKind.STACK, [(1, 3), (3, 5), (2, 4)], True),
+        (LayoutKind.QUEUE, [(1, 5), (1, 3), (3, 5), (2, 4)], True),
+        (LayoutKind.STACK, [(0, 6), (0, 2), (1, 7)], True),
+        (LayoutKind.QUEUE, [(0, 3), (0, 6), (4, 5)], True),
+    ],
+)
+def test_validate_hand_cases_with_shared_endpoints(kind, spans, conflicts):
+    assert _page_has_conflict(kind, spans) == conflicts
+    g, layout = _one_page_layout(kind, spans)
+    report = validate_layout(g, layout)
+    assert list(report.violations) == naive_conflicting_pairs(g, layout)
+    assert report.ok == (not conflicts)
+
+
+def _one_page_layout(kind, spans):
+    spine = tuple(f"v{i}" for i in range(1 + max(b for _, b in spans)))
+    g = Graph.build(spine, [(spine[a], spine[b]) for a, b in spans])
+    return g, LinearLayout(kind, 1, spine, {e: 1 for e in g.edges})
+
+
+@pytest.mark.parametrize("kind", list(LayoutKind))
+def test_page_sweep_matches_pairwise_definition(kind):
+    # a missed conflict would drop violations; a false alarm would make
+    # validate_layout enumerate all pairs of a valid page
+    rng = random.Random(17)
+    for _ in range(3000):
+        pairs = list(itertools.combinations(range(rng.randint(2, 9)), 2))
+        spans = rng.sample(pairs, rng.randint(1, min(len(pairs), 7)))
+        g, layout = _one_page_layout(kind, spans)
+        assert _page_has_conflict(kind, spans) == bool(naive_conflicting_pairs(g, layout))
+
+
+def test_validate_lifted_layout_with_two_spine_vertices_swapped():
+    g = twin_gadget(2, 2, 10)
+    result = run(SolveRequest(g, "kernel", LayoutKind.STACK, 1, threshold=5))
+    assert result.counters["lifted"] == 1
+    layout = result.layout
+    assert validate_layout(g, layout).ok and not naive_conflicting_pairs(g, layout)
+    for i, j in itertools.combinations(range(g.n), 2):
+        spine = list(layout.spine)
+        spine[i], spine[j] = spine[j], spine[i]
+        swapped = LinearLayout(layout.kind, 1, tuple(spine), layout.pages)
+        naive = naive_conflicting_pairs(g, swapped)
+        if naive:
+            break
+    assert naive
+    assert list(validate_layout(g, swapped).violations) == naive
 
 
 def test_spanning_edges_basics(path3):

@@ -115,6 +115,49 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "G", "--kind", "stack", "--pages", "0"],
+        ["kernelize", "G", "--pages", "0"],
+        ["solve", "G", "--algo", "cutset", "--kind", "stack", "--pages", "1", "--width", "-1"],
+        ["solve", "G", "--algo", "kernel", "--kind", "stack", "--pages", "1", "--width", "0"],
+        ["solve", "G", "--algo", "queue1", "--kind", "queue", "--pages", "1", "--width", "2"],
+    ],
+)
+def test_cli_invalid_arguments_exit_3(tmp_path, capsys, argv):
+    path = write_graph(tmp_path, cycle_graph(5))
+    argv = [path if a == "G" else a for a in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 3
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["oracle"], ["solve", "--algo", "oracle"]])
+def test_cli_oracle_accepts_width_zero(tmp_path, capsys, command):
+    path = write_graph(tmp_path, cycle_graph(5))
+    argv = [command[0], path, *command[1:], "--kind", "stack", "--pages", "1", "--width", "0"]
+    assert main(argv) == 1
+    capsys.readouterr()
+    edgeless = write_graph(tmp_path, Graph.build(["a", "b"], []), "edgeless.graph")
+    argv[1] = edgeless
+    assert main(argv) == 0
+    capsys.readouterr()
+
+
+def test_cli_validate_layout_of_another_graph_exits_3(tmp_path, capsys):
+    c4_path = write_graph(tmp_path, cycle_graph(4), "c4.graph")
+    c5_path = write_graph(tmp_path, cycle_graph(5), "c5.graph")
+    layout_path = str(tmp_path / "c4.json")
+    assert main(["oracle", c4_path, "--kind", "stack", "--pages", "1", "--out", layout_path]) == 0
+    assert main(["validate", c5_path, layout_path]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_cli_vi_and_kernelize(tmp_path, capsys):
     g = twin_gadget(1, 1, 8)
     path = write_graph(tmp_path, g)
