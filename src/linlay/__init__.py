@@ -20,7 +20,6 @@ from .kernel import (
     compute_vertex_integrity,
     find_guiding_sublayout,
     lift_layout,
-    solve_via_kernel,
     twin_partition,
 )
 from .layouts import (

@@ -94,24 +94,6 @@ def _mask_to_graph(n: int, mask: int) -> Graph:
     return Graph.build(_NAMES[:n], edges)
 
 
-def _is_connected_mask(n: int, mask: int) -> bool:
-    pidx = _pair_index(n)
-    adj = [[] for _ in range(n)]
-    for (i, j), k in pidx.items():
-        if mask >> k & 1:
-            adj[i].append(j)
-            adj[j].append(i)
-    seen = {0}
-    stack = [0]
-    while stack:
-        v = stack.pop()
-        for w in adj[v]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
-
-
 def connected_graph_masks(n: int) -> list[int]:
     """Canonical bitmasks of all connected graphs on n vertices, generated."""
     if n < 1:

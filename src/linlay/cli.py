@@ -26,7 +26,7 @@ from .graphs import GraphError
 from .kernel import build_reduced_graph, compute_vertex_integrity
 from .layouts import LayoutDomainError, LayoutKind, page_width, validate_layout
 from .oracle import OracleQuery, OracleSizeError, solve_exhaustive, solve_exhaustive_all
-from .runner import RequestError, SolveRequest, _atomic_write, report_to_dict, run
+from .runner import ALGORITHMS, RequestError, SolveRequest, _atomic_write, report_to_dict, run
 from .svg import emit_svg
 
 
@@ -42,10 +42,6 @@ def _write(path: str | None, data: str) -> None:
         sys.stdout.write(data)
     else:
         _atomic_write(path, data)
-
-
-def _kind(value: str) -> LayoutKind:
-    return LayoutKind(value)
 
 
 def _at_least(least: int):
@@ -71,11 +67,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_common_solver_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--kind", type=_kind, choices=list(LayoutKind), required=True)
+    p.add_argument("--kind", choices=[k.value for k in LayoutKind], required=True)
     p.add_argument("--pages", type=_at_least(1), required=True)
     p.add_argument("--width", type=_at_least(0), default=None)
-    p.add_argument("--out", default=None, help="write the witness layout JSON here")
-    p.add_argument("--threads", type=int, default=1, help="worker-count hint")
 
 
 def cmd_validate(args) -> int:
@@ -93,7 +87,7 @@ def cmd_validate(args) -> int:
 
 def cmd_oracle(args) -> int:
     g = parse_graph(_read(args.graph))
-    query = OracleQuery(g, args.kind, args.pages, args.width)
+    query = OracleQuery(g, LayoutKind(args.kind), args.pages, args.width)
     if args.count:
         print(solve_exhaustive_all(query, guard=args.guard))
         return 0
@@ -112,14 +106,13 @@ def cmd_solve(args) -> int:
     req = SolveRequest(
         graph=g,
         algorithm=args.algo,
-        kind=args.kind,
+        kind=LayoutKind(args.kind),
         pages=args.pages,
         width=args.width,
         inner=args.inner,
         threshold=args.threshold,
         oracle_guard=args.guard,
         edge_guard=args.edge_guard,
-        threads=args.threads,
         dump_states=args.dump_states,
         dump_branch=args.dump_branch,
     )
@@ -195,7 +188,7 @@ def cmd_bench(args) -> int:
         req = SolveRequest(
             graph=g,
             algorithm=args.algo,
-            kind=args.kind,
+            kind=LayoutKind(args.kind),
             pages=args.pages,
             width=args.width,
             threshold=args.threshold,
@@ -211,7 +204,7 @@ def cmd_bench(args) -> int:
                 "n": g.n,
                 "m": g.m,
                 "algo": args.algo,
-                "params": f"kind={args.kind.value};pages={args.pages};width={args.width}",
+                "params": f"kind={args.kind};pages={args.pages};width={args.width}",
                 "verdict": report.verdict,
                 "millis": f"{millis:.2f}",
                 "state_count": report.counters.get(
@@ -247,16 +240,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exhaustive reference solver")
     p.add_argument("graph")
     _add_common_solver_args(p)
+    p.add_argument("--out", default=None, help="write the witness layout JSON here")
     p.add_argument("--count", action="store_true", help="count all valid layouts")
     p.add_argument("--guard", type=int, default=12)
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("solve", help="run one of the solvers")
     p.add_argument("graph")
-    p.add_argument("--algo", choices=["oracle", "cutset", "queue1", "kernel"], required=True)
+    p.add_argument("--algo", choices=ALGORITHMS, required=True)
     _add_common_solver_args(p)
+    p.add_argument("--out", default=None, help="write the witness layout JSON here")
     p.add_argument("--inner", choices=["oracle", "cutset"], default="oracle")
-    p.add_argument("--threshold", type=int, default=None, help="kernel largeness override")
+    p.add_argument("--threshold", type=_at_least(0), default=None,
+                   help="kernel largeness override")
     p.add_argument("--guard", type=int, default=12, help="oracle size guard")
     p.add_argument("--edge-guard", type=int, default=26, help="queue1 labeling guard")
     p.add_argument("--dump-states", default=None)
@@ -271,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernelize", help="emit the reduced graph and certificate")
     p.add_argument("graph")
     p.add_argument("--pages", type=_at_least(1), required=True)
-    p.add_argument("--threshold", type=int, default=None)
+    p.add_argument("--threshold", type=_at_least(0), default=None)
     p.add_argument("--out-graph", default=None)
     p.add_argument("--out-cert", default="-")
     p.set_defaults(fn=cmd_kernelize)
@@ -290,11 +286,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="CSV timing rows for instances")
     p.add_argument("graphs", nargs="+")
-    p.add_argument("--algo", choices=["oracle", "cutset", "queue1", "kernel"], required=True)
-    p.add_argument("--kind", type=_kind, choices=list(LayoutKind), required=True)
-    p.add_argument("--pages", type=_at_least(1), required=True)
-    p.add_argument("--width", type=_at_least(0), default=None)
-    p.add_argument("--threshold", type=int, default=None)
+    p.add_argument("--algo", choices=ALGORITHMS, required=True)
+    _add_common_solver_args(p)
+    p.add_argument("--threshold", type=_at_least(0), default=None)
     p.add_argument("--guard", type=int, default=12)
     p.add_argument("--edge-guard", type=int, default=26)
     p.add_argument("--out", default="-")

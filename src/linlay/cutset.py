@@ -23,7 +23,8 @@ from typing import Iterator
 
 from .bounds import edge_count_bound
 from .graphs import Edge, Graph, edge
-from .layouts import LayoutKind, LinearLayout, page_width, validate_layout
+from .layouts import LayoutKind, LinearLayout, _page_has_conflict, page_width, validate_layout
+from .levelplan import _insert_everywhere
 
 
 class CutSetError(ValueError):
@@ -90,12 +91,6 @@ class StateNode:
 
     def key(self):
         return (self.cut.edges, self.cut.order, self.page_of, self.processed_all)
-
-    def mini_layout(self, kind: LayoutKind, pages: int) -> LinearLayout:
-        """The layout of G[F] given by the endpoint order and page map."""
-        return LinearLayout(
-            kind, pages, self.cut.order, dict(zip(self.cut.edges, self.page_of))
-        )
 
 
 S_EMPTY = StateNode.sentinel(full=False)
@@ -257,54 +252,25 @@ def _mini_layout_valid(
     edges_pages: list[tuple[Edge, int]],
     width: int,
 ) -> bool:
-    """AC-style validity of the cut-only layout.
+    """AC-style validity of the cut-only layout: per page, at most ``width``
+    edges and no conflict under :func:`_page_has_conflict`.
 
-    Every edge runs from a source to a sink, so per page it suffices that
-    sink positions strictly descend (stack) or ascend (queue) across groups
-    of strictly increasing source positions; page width equals the page
-    size, which is capped separately.
+    Every edge runs from a source to a sink and all sources precede all
+    sinks, so no edge's right end is another edge's left end.  Two edges of
+    a page therefore either share an endpoint, and never conflict, or have
+    four distinct positions, where the sweep's strict patterns
+    (``a1 < a2 < b1 < b2`` crossing, ``a1 < a2 < b2 < b1`` nesting) are the
+    whole conflict test.  Page width equals the page size here, since every
+    edge of a page spans the source/sink boundary.
     """
     per_page: dict[int, list[tuple[int, int]]] = {}
     for (u, v), p in edges_pages:
         a, b = order_pos[u], order_pos[v]
-        if a > b:
-            a, b = b, a
-        per_page.setdefault(p, []).append((a, b))
-    for pairs in per_page.values():
-        if len(pairs) > width:
-            return False
-        pairs.sort()
-        for (a1, b1), (a2, b2) in itertools.combinations(pairs, 2):
-            if a1 == a2 or b1 == b2:
-                continue
-            lo, hi = ((a1, b1), (a2, b2)) if a1 < a2 else ((a2, b2), (a1, b1))
-            crossing = lo[1] < hi[1]
-            if kind is LayoutKind.STACK and crossing:
-                return False
-            if kind is LayoutKind.QUEUE and not crossing:
-                return False
-    return True
-
-
-def _merge_interleavings(fixed: list[str], new: list[str]) -> Iterator[tuple[str, ...]]:
-    """All orders containing ``fixed`` as a subsequence and ``new`` anywhere."""
-    if not new:
-        yield tuple(fixed)
-        return
-    total = len(fixed) + len(new)
-    for positions in itertools.combinations(range(total), len(new)):
-        pos_set = set(positions)
-        for perm in itertools.permutations(new):
-            out: list[str] = []
-            fi, ni = 0, 0
-            for i in range(total):
-                if i in pos_set:
-                    out.append(perm[ni])
-                    ni += 1
-                else:
-                    out.append(fixed[fi])
-                    fi += 1
-            yield tuple(out)
+        per_page.setdefault(p, []).append((min(a, b), max(a, b)))
+    return all(
+        len(spans) <= width and not _page_has_conflict(kind, spans)
+        for spans in per_page.values()
+    )
 
 
 @dataclass
@@ -373,7 +339,7 @@ def _successors(
         page_options = _page_combos(k, ctx.pages, base_counts, ctx.width, canonical_pages)
         if not page_options:
             continue
-        for snk_order in _merge_interleavings(fixed_snks, new_snks):
+        for snk_order in _insert_everywhere(fixed_snks, new_snks):
             tpos = {t: i for i, t in enumerate(snk_order)}
             # per-page extreme retained sink positions
             lo: dict[int, int] = {}

@@ -7,6 +7,7 @@ kept core, and keep a bounded number of disjoint "groups", each containing
 one member per surviving class.  A layout of the reduced graph is lifted
 back by locating three groups laid out identically (a guiding sublayout),
 reading off a block pattern, and replaying that pattern for every member.
+``runner._solve_kernel`` runs these steps end to end around an inner solver.
 
 The default largeness threshold is the tower function
 2^(2^(pages * x^2 * 2^(12 p^2))), far beyond any materializable input, so
@@ -578,41 +579,15 @@ def lift_layout(
     return layout
 
 
-# -- end-to-end ----------------------------------------------------------------
+# -- inner solver --------------------------------------------------------------
 
 
 InnerSolver = Callable[[Graph, LayoutKind, int], LinearLayout | None]
 
 
 def oracle_solver(guard: int = 12) -> InnerSolver:
+    """The oracle as an inner solver, refusing graphs above ``guard`` vertices."""
     def solve(g: Graph, kind: LayoutKind, pages: int) -> LinearLayout | None:
         return solve_exhaustive(OracleQuery(g, kind, pages), guard=guard)
 
     return solve
-
-
-def solve_via_kernel(
-    g: Graph,
-    kind: LayoutKind,
-    pages: int,
-    threshold_fn: Callable[[int], object] | None = None,
-    inner_solver: InnerSolver | None = None,
-) -> LinearLayout | None:
-    """Kernelize, solve the kernel, lift; fall back to solving g directly
-    when the guided lift is unavailable.  The verdict always equals the
-    inner solver's verdict on g."""
-    inner = inner_solver or oracle_solver()
-    dec = compute_vertex_integrity(g)
-    assert dec is not None
-    cert = build_reduced_graph(g, dec, pages, threshold_fn)
-    if cert.covers_whole_graph(g):
-        return inner(g, kind, pages)
-    kernel_layout = inner(cert.graph, kind, pages)
-    if kernel_layout is None:
-        return None  # an induced subgraph with no layout settles the full graph
-    guide = None
-    if cert.group_count >= 5:
-        guide = find_guiding_sublayout(kernel_layout, cert)
-    if guide is not None:
-        return lift_layout(guide, cert, g)
-    return inner(g, kind, pages)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import Mapping
 
-from .graphs import Edge, Graph, edge
+from .graphs import Edge, Graph
 
 
 class LayoutKind(enum.Enum):
@@ -37,9 +37,6 @@ class LinearLayout:
 
     def positions(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.spine)}
-
-    def page_of(self, u: str, v: str) -> int:
-        return self.pages[edge(u, v)]
 
     def relabel_pages(self, mapping: Mapping[int, int]) -> "LinearLayout":
         return LinearLayout(

@@ -128,6 +128,12 @@ def _candidate_orders(
 
 
 def _insert_everywhere(base: list[str], free: list[str]) -> Iterator[tuple[str, ...]]:
+    """All orders containing ``base`` as a subsequence and ``free`` anywhere.
+
+    Orders come by the positions of ``free`` in lexicographic order, then by
+    the permutation of ``free``; the cutset search and its state dump rely
+    on this order.
+    """
     if not free:
         yield tuple(base)
         return

@@ -102,6 +102,8 @@ class _Search:
         return max(total, default=0) <= cap_total
 
     def _conflicts(self, a1: int, b1: int, p: int) -> bool:
+        # Kept inline: this is the search's inner loop, and a shared position
+        # predicate made solve_exhaustive 24-38% slower (ROADMAP item 5).
         stack = self.stack_kind
         for a2, b2 in self.by_page[p]:
             if a1 == a2 or a1 == b2 or b1 == a2 or b1 == b2:
@@ -230,13 +232,3 @@ def solve_exhaustive_all(query: OracleQuery, guard: int = DEFAULT_GUARD) -> int:
     result = _Search(query).run(count_all=True)
     assert isinstance(result, int)
     return result
-
-
-def layout_exists(
-    g: Graph,
-    kind: LayoutKind,
-    pages: int,
-    max_width: int | None = None,
-    guard: int = DEFAULT_GUARD,
-) -> bool:
-    return solve_exhaustive(OracleQuery(g, kind, pages, max_width), guard=guard) is not None

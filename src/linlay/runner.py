@@ -40,7 +40,6 @@ class SolveRequest:
     threshold: int | None = None
     oracle_guard: int = 12
     edge_guard: int = 26
-    threads: int = 1
     dump_states: str | None = None
     dump_branch: str | None = None
 
@@ -59,8 +58,8 @@ class SolveRequest:
             raise RequestError("queue1 solves exactly 1-page queue instances")
         if self.inner not in ("oracle", "cutset"):
             raise RequestError(f"unknown inner solver {self.inner!r}")
-        if self.threads < 1:
-            raise RequestError("threads must be at least 1")
+        if self.threshold is not None and self.threshold < 0:
+            raise RequestError("threshold must be nonnegative")
 
 
 @dataclass
@@ -121,6 +120,9 @@ def _solve_cutset(req: SolveRequest) -> tuple[LinearLayout | None, dict[str, int
 
 
 def _solve_kernel(req: SolveRequest) -> tuple[LinearLayout | None, dict[str, int]]:
+    """Kernelize, solve the kernel, lift; fall back to solving g directly
+    when the guided lift is unavailable.  The verdict always equals the
+    inner solver's verdict on g."""
     g = req.graph
     counters: dict[str, int] = {}
     dec = compute_vertex_integrity(g)
@@ -146,7 +148,7 @@ def _solve_kernel(req: SolveRequest) -> tuple[LinearLayout | None, dict[str, int
         return inner(g, req.kind, req.pages), counters
     kernel_layout = inner(cert.graph, req.kind, req.pages)
     if kernel_layout is None:
-        return None, counters
+        return None, counters  # an induced subgraph with no layout settles g
     guide = None
     if cert.group_count >= 5:
         guide = find_guiding_sublayout(kernel_layout, cert)
@@ -166,7 +168,6 @@ def run(req: SolveRequest) -> RunReport:
         "width": req.width,
         "n": g.n,
         "m": g.m,
-        "threads": req.threads,
     }
     counters: dict[str, int] = {}
     detail = ""

@@ -24,7 +24,6 @@ from linlay.kernel import (
     build_reduced_graph,
     compute_vertex_integrity,
     oracle_solver,
-    solve_via_kernel,
 )
 from linlay.layouts import LayoutKind, page_width, spanning_edges, validate_layout
 from linlay.oracle import OracleQuery, solve_exhaustive
@@ -34,6 +33,7 @@ from linlay.queue_one import (
     level_assignment_from_labeling,
     solve_queue_one_page,
 )
+from linlay.runner import SolveRequest, run
 
 from arched_reference import arched_embedding_exists
 from conftest import width_five_fixture
@@ -128,9 +128,11 @@ def test_criterion_3_kernel_round_trip():
         dec = compute_vertex_integrity(g)
         cert = build_reduced_graph(g, dec, pages, threshold_fn=lambda x: threshold)
         assert cert.group_count >= 5, (core, copy, k)
-        via_kernel = solve_via_kernel(
-            g, kind, pages, threshold_fn=lambda x: threshold, inner_solver=inner
+        report = run(
+            SolveRequest(g, "kernel", kind, pages, threshold=threshold, oracle_guard=26)
         )
+        assert report.verdict != "refused", (core, copy, k, kind, pages)
+        via_kernel = report.layout
         direct = inner(g, kind, pages)
         assert (via_kernel is None) == (direct is None), (core, copy, k, kind, pages)
         if via_kernel is not None:

@@ -15,13 +15,12 @@ from linlay.kernel import (
     find_guiding_sublayout,
     kernel_within_default_bound,
     lift_layout,
-    oracle_solver,
     default_threshold,
-    solve_via_kernel,
     twin_partition,
 )
 from linlay.layouts import LayoutKind, LinearLayout, validate_layout
 from linlay.oracle import OracleQuery, solve_exhaustive
+from linlay.runner import SolveRequest, run
 
 from naive import (
     complete_of,
@@ -212,10 +211,9 @@ def test_lift_blocks_websequence_asc_desc():
 
 def test_solve_via_kernel_agrees_with_oracle_feasible():
     g = twin_gadget(3, 1, 9)
-    layout = solve_via_kernel(
-        g, LayoutKind.STACK, 1, threshold_fn=lambda x: 5,
-        inner_solver=oracle_solver(guard=16),
-    )
+    report = run(SolveRequest(g, "kernel", LayoutKind.STACK, 1, threshold=5, oracle_guard=16))
+    assert report.verdict != "refused"
+    layout = report.layout
     assert layout is not None and validate_layout(g, layout).ok
     direct = solve_exhaustive(OracleQuery(g, LayoutKind.STACK, 1), guard=16)
     assert direct is not None
@@ -223,18 +221,18 @@ def test_solve_via_kernel_agrees_with_oracle_feasible():
 
 def test_solve_via_kernel_agrees_with_oracle_infeasible():
     g = twin_gadget(4, 1, 6)  # K4 core: no 1-page stack layout
-    layout = solve_via_kernel(
-        g, LayoutKind.STACK, 1, threshold_fn=lambda x: 5,
-        inner_solver=oracle_solver(guard=16),
-    )
-    assert layout is None
+    report = run(SolveRequest(g, "kernel", LayoutKind.STACK, 1, threshold=5, oracle_guard=16))
+    assert report.verdict != "refused"
+    assert report.layout is None
     assert solve_exhaustive(OracleQuery(g, LayoutKind.STACK, 1), guard=16) is None
 
 
 def test_solve_via_kernel_whole_graph_passthrough():
     g = cycle_of("a", "b", "c", "d")
     # the default tower threshold folds everything: behaves like the inner solver
-    got = solve_via_kernel(g, LayoutKind.STACK, 1)
+    report = run(SolveRequest(g, "kernel", LayoutKind.STACK, 1))
+    assert report.verdict != "refused"
+    got = report.layout
     direct = solve_exhaustive(OracleQuery(g, LayoutKind.STACK, 1))
     assert got == direct
 
@@ -285,10 +283,9 @@ def test_no_matching_triple_reports_absent():
     assert validate_layout(cert.graph, layout).ok
     assert find_guiding_sublayout(layout, cert) is None
     # the end-to-end solver still answers through the fallback
-    full = solve_via_kernel(
-        g, LayoutKind.STACK, 2, threshold_fn=lambda x: 5,
-        inner_solver=oracle_solver(guard=16),
-    )
+    report = run(SolveRequest(g, "kernel", LayoutKind.STACK, 2, threshold=5, oracle_guard=16))
+    assert report.verdict != "refused"
+    full = report.layout
     assert full is not None and validate_layout(g, full).ok
 
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +28,12 @@ def test_request_invariants(c4):
         SolveRequest(c4, "queue1", LayoutKind.QUEUE, 2)
     with pytest.raises(RequestError):
         SolveRequest(c4, "nope", LayoutKind.QUEUE, 1)
+
+
+def test_request_rejects_negative_threshold(c4):
+    with pytest.raises(RequestError):
+        SolveRequest(c4, "kernel", LayoutKind.STACK, 1, threshold=-1)
+    assert SolveRequest(c4, "kernel", LayoutKind.STACK, 1, threshold=0).threshold == 0
 
 
 def test_run_oracle_found(c4):
@@ -78,7 +85,7 @@ def test_run_kernel_with_threshold():
 
 def test_run_is_deterministic(c4):
     r1 = run(SolveRequest(c4, "cutset", LayoutKind.STACK, 2, width=2))
-    r2 = run(SolveRequest(c4, "cutset", LayoutKind.STACK, 2, width=2, threads=4))
+    r2 = run(SolveRequest(c4, "cutset", LayoutKind.STACK, 2, width=2))
     assert r1.layout == r2.layout
 
 
@@ -123,6 +130,9 @@ def test_cli_exit_codes(tmp_path, capsys):
         ["solve", "G", "--algo", "cutset", "--kind", "stack", "--pages", "1", "--width", "-1"],
         ["solve", "G", "--algo", "kernel", "--kind", "stack", "--pages", "1", "--width", "0"],
         ["solve", "G", "--algo", "queue1", "--kind", "queue", "--pages", "1", "--width", "2"],
+        ["solve", "G", "--algo", "kernel", "--kind", "stack", "--pages", "1", "--threshold", "-1"],
+        ["kernelize", "G", "--pages", "1", "--threshold", "-1"],
+        ["bench", "G", "--algo", "kernel", "--kind", "stack", "--pages", "1", "--threshold", "-1"],
     ],
 )
 def test_cli_invalid_arguments_exit_3(tmp_path, capsys, argv):
@@ -135,6 +145,15 @@ def test_cli_invalid_arguments_exit_3(tmp_path, capsys, argv):
     assert code == 3
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_cli_unknown_kind_names_the_valid_kinds(tmp_path, capsys):
+    path = write_graph(tmp_path, cycle_graph(5))
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", path, "--algo", "oracle", "--kind", "nope", "--pages", "1"])
+    assert exc.value.code == 3
+    err = capsys.readouterr().err
+    assert "'stack'" in err and "'queue'" in err and "_kind" not in err
 
 
 @pytest.mark.parametrize("command", [["oracle"], ["solve", "--algo", "oracle"]])
@@ -186,6 +205,21 @@ def test_cli_dump_states(tmp_path, capsys):
     ) == 0
     lines = (tmp_path / "states.txt").read_text().strip().splitlines()
     assert lines and all(line.count("|") == 2 for line in lines)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind", ["stack", "queue"])
+def test_cli_dump_states_golden(tmp_path, capsys, kind):
+    """The dump lists visited states in search order, so it pins the order
+    in which sink interleavings and page vectors are tried."""
+    path = write_graph(tmp_path, cycle_graph(6))
+    dump = tmp_path / "states.txt"
+    assert main(
+        ["solve", path, "--algo", "cutset", "--kind", kind, "--pages", "2",
+         "--width", "2", "--dump-states", str(dump)]
+    ) == 0
+    golden = Path(__file__).parent / "data" / f"dump_states_c6_{kind}_2p_w2.txt"
+    assert dump.read_bytes() == golden.read_bytes()
     capsys.readouterr()
 
 
