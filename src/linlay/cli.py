@@ -25,7 +25,14 @@ from .generators import GeneratorError, generate_instance
 from .graphs import GraphError
 from .kernel import build_reduced_graph, compute_vertex_integrity
 from .layouts import LayoutDomainError, LayoutKind, page_width, validate_layout
-from .oracle import OracleQuery, OracleSizeError, solve_exhaustive, solve_exhaustive_all
+from .oracle import (
+    DEFAULT_GUARD,
+    OracleQuery,
+    OracleSizeError,
+    solve_exhaustive,
+    solve_exhaustive_all,
+)
+from .queue_one import DEFAULT_EDGE_GUARD
 from .runner import ALGORITHMS, RequestError, SolveRequest, _atomic_write, report_to_dict, run
 from .svg import emit_svg
 
@@ -137,8 +144,7 @@ def cmd_vi(args) -> int:
 def cmd_kernelize(args) -> int:
     g = parse_graph(_read(args.graph))
     dec = compute_vertex_integrity(g)
-    threshold_fn = (lambda x: args.threshold) if args.threshold is not None else None
-    cert = build_reduced_graph(g, dec, args.pages, threshold_fn)
+    cert = build_reduced_graph(g, dec, args.pages, args.threshold)
     if args.out_graph:
         _write(args.out_graph, serialize_graph(cert.graph))
     payload = {
@@ -148,7 +154,7 @@ def cmd_kernelize(args) -> int:
         "kernel_vertices": cert.graph.n,
         "kernel_edges": cert.graph.m,
         "groups": cert.group_count,
-        "threshold": cert.threshold_value,
+        "threshold": cert.threshold,
         "classes": [
             {
                 "members": [list(m) for m in cls.members],
@@ -242,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_solver_args(p)
     p.add_argument("--out", default=None, help="write the witness layout JSON here")
     p.add_argument("--count", action="store_true", help="count all valid layouts")
-    p.add_argument("--guard", type=int, default=12)
+    p.add_argument("--guard", type=_at_least(0), default=DEFAULT_GUARD)
     p.set_defaults(fn=cmd_oracle)
 
     p = sub.add_parser("solve", help="run one of the solvers")
@@ -253,15 +259,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--inner", choices=["oracle", "cutset"], default="oracle")
     p.add_argument("--threshold", type=_at_least(0), default=None,
                    help="kernel largeness override")
-    p.add_argument("--guard", type=int, default=12, help="oracle size guard")
-    p.add_argument("--edge-guard", type=int, default=26, help="queue1 labeling guard")
+    p.add_argument("--guard", type=_at_least(0), default=DEFAULT_GUARD,
+                   help="oracle size guard")
+    p.add_argument("--edge-guard", type=_at_least(0), default=DEFAULT_EDGE_GUARD,
+                   help="queue1 labeling guard")
     p.add_argument("--dump-states", default=None)
     p.add_argument("--dump-branch", default=None)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("vi", help="vertex integrity and witnessing separator")
     p.add_argument("graph")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=_at_least(1), default=None)
     p.set_defaults(fn=cmd_vi)
 
     p = sub.add_parser("kernelize", help="emit the reduced graph and certificate")
@@ -289,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--algo", choices=ALGORITHMS, required=True)
     _add_common_solver_args(p)
     p.add_argument("--threshold", type=_at_least(0), default=None)
-    p.add_argument("--guard", type=int, default=12)
-    p.add_argument("--edge-guard", type=int, default=26)
+    p.add_argument("--guard", type=_at_least(0), default=DEFAULT_GUARD)
+    p.add_argument("--edge-guard", type=_at_least(0), default=DEFAULT_EDGE_GUARD)
     p.add_argument("--out", default="-")
     p.set_defaults(fn=cmd_bench)
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .graphs import Graph, edge
+from .graphs import Graph
 
 
 class GeneratorError(ValueError):

@@ -2,30 +2,31 @@
 
 Pipeline: compute the vertex integrity p with a witnessing separator S,
 group the components of G - S into twin classes (isomorphic with identical
-attachments into S), fold every class that is not large enough into the
-kept core, and keep a bounded number of disjoint "groups", each containing
-one member per surviving class.  A layout of the reduced graph is lifted
+attachments into S), fold every class with fewer than ``threshold`` members
+into the kept core, and keep ``threshold`` disjoint "groups", each holding
+one member of every large class.  A layout of the reduced graph is lifted
 back by locating three groups laid out identically (a guiding sublayout),
 reading off a block pattern, and replaying that pattern for every member.
 ``runner._solve_kernel`` runs these steps end to end around an inner solver.
 
-The default largeness threshold is the tower function
-2^(2^(pages * x^2 * 2^(12 p^2))), far beyond any materializable input, so
-with the default the kernel is the whole graph.  The threshold is a
-first-class override so the lifting machinery can be exercised at desk
-scale; with overridden thresholds kernel completeness is checked
-empirically against a complete solver rather than guaranteed.
+Without a threshold, largeness follows the paper's tower function (see
+``build_reduced_graph``), which no materializable class reaches, so every
+class folds and the kernel is the whole graph.  An integer threshold
+overrides it so the lifting machinery can be exercised at desk scale;
+kernel completeness is then checked empirically against a complete solver
+rather than guaranteed.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable
 
 from .graphs import Edge, Graph, edge
 from .layouts import LayoutKind, LinearLayout, validate_layout
-from .oracle import OracleQuery, solve_exhaustive
+from .oracle import DEFAULT_GUARD, OracleQuery, solve_exhaustive
 
 
 class GuidingError(ValueError):
@@ -110,17 +111,11 @@ class TwinClass:
     """
 
     members: tuple[tuple[str, ...], ...]
-    isos: tuple[tuple[tuple[str, str], ...], ...]
+    isos: tuple[dict[str, str], ...]
 
     @property
     def representative(self) -> tuple[str, ...]:
         return self.members[0]
-
-    def iso_of(self, i: int) -> dict[str, str]:
-        return dict(self.isos[i])
-
-    def inverse_iso_of(self, i: int) -> dict[str, str]:
-        return {r: v for v, r in self.isos[i]}
 
 
 def _attachment_iso(
@@ -172,47 +167,13 @@ def twin_partition(g: Graph, dec: ViDecomposition) -> tuple[TwinClass, ...]:
     return tuple(
         TwinClass(
             tuple(members),
-            tuple(tuple(sorted(iso.items())) for iso in isos),
+            tuple(dict(sorted(iso.items())) for iso in isos),
         )
         for members, isos in classes
     )
 
 
-# -- largeness thresholds -------------------------------------------------------
-
-
-class TowerThreshold:
-    """Lazily compared value 2^(2^e); e is big enough that any realizable
-    class size loses the comparison."""
-
-    def __init__(self, exponent: int):
-        if exponent < 64:
-            raise ValueError("tower shortcut needs a large inner exponent")
-        self.exponent = exponent
-
-    def __le__(self, other: int) -> bool:
-        return False
-
-    def __gt__(self, other: int) -> bool:
-        return True
-
-    def __repr__(self) -> str:
-        return f"2^(2^{self.exponent})"
-
-
-def default_threshold(pages: int, p: int) -> Callable[[int], TowerThreshold]:
-    """The default largeness function of the core pruning argument."""
-
-    def fn(x: int) -> TowerThreshold:
-        return TowerThreshold(pages * max(x, 1) ** 2 * 2 ** (12 * p * p))
-
-    return fn
-
-
-def _is_large(size: int, threshold) -> bool:
-    if isinstance(threshold, TowerThreshold):
-        return False
-    return size >= threshold
+# -- reduced graph --------------------------------------------------------------
 
 
 def kernel_within_default_bound(kernel_size: int, pages: int, p: int) -> bool:
@@ -232,9 +193,6 @@ def kernel_within_default_bound(kernel_size: int, pages: int, p: int) -> bool:
     return kernel_size <= (2 * tower + 6) ** (pages * p)
 
 
-# -- reduced graph --------------------------------------------------------------
-
-
 @dataclass(frozen=True)
 class ReducedGraphCertificate:
     graph: Graph
@@ -242,20 +200,21 @@ class ReducedGraphCertificate:
     s_prime: tuple[str, ...]
     classes: tuple[TwinClass, ...]
     large_class_ids: tuple[int, ...]
-    copies_kept: int
-    threshold_value: int | None
+    group_count: int
+    threshold: int | None
     removed: tuple[tuple[int, int], ...]  # (class id, pruned member count)
 
-    @property
-    def group_count(self) -> int:
-        return self.copies_kept
-
-    def group_vertices(self, i: int) -> tuple[str, ...]:
-        """Vertices of group i: the i-th member of every large class."""
-        out: list[str] = []
-        for cid in self.large_class_ids:
-            out.extend(self.classes[cid].members[i])
-        return tuple(sorted(out))
+    @cached_property
+    def group_maps(self) -> tuple[tuple[dict[str, str], dict[str, str]], ...]:
+        """(to_rep, from_rep) vertex maps of each group; group i holds the
+        i-th member of every large class."""
+        maps = []
+        for i in range(self.group_count):
+            to_rep: dict[str, str] = {}
+            for cid in self.large_class_ids:
+                to_rep.update(self.classes[cid].isos[i])
+            maps.append((to_rep, {r: v for v, r in to_rep.items()}))
+        return tuple(maps)
 
     def covers_whole_graph(self, g: Graph) -> bool:
         return set(self.graph.vertices) == set(g.vertices)
@@ -265,56 +224,43 @@ def build_reduced_graph(
     g: Graph,
     dec: ViDecomposition,
     pages: int,
-    threshold_fn: Callable[[int], object] | None = None,
+    threshold: int | None = None,
 ) -> ReducedGraphCertificate:
-    """Fold small twin classes into the core, keep t groups of the rest.
+    """Fold small twin classes into the core, keep ``threshold`` groups of the rest.
 
-    Folding repeats while some remaining class is below the threshold at
-    the current core size; the final threshold value t is also the number
-    of groups kept (and of members kept per class).
+    A class is large when it has at least ``threshold`` members; every
+    other class folds into the core, and ``threshold`` members of each large
+    class are kept.  ``None`` stands for the paper's threshold
+    2^(2^(pages * x^2 * 2^(12 p^2))) at core size x and p = ``dec.p``, the
+    only place ``pages`` enters; no class of a materializable graph reaches
+    it, so every class folds and the kernel is the whole graph.
     """
-    fn = threshold_fn or default_threshold(pages, dec.p)
     classes = twin_partition(g, dec)
+    large = tuple(
+        cid
+        for cid, cls in enumerate(classes)
+        if threshold is not None and len(cls.members) >= threshold
+    )
     core: set[str] = set(dec.separator)
-    active = list(range(len(classes)))
-    while active:
-        thr = fn(len(core))
-        small = [cid for cid in active if not _is_large(len(classes[cid].members), thr)]
-        if not small:
-            break
-        cid = small[0]
-        for member in classes[cid].members:
-            core.update(member)
-        active.remove(cid)
-
-    if active:
-        thr = fn(len(core))
-        assert not isinstance(thr, TowerThreshold)
-        kept = int(thr)
-        keep_vertices = set(core)
-        removed = []
-        for cid in active:
-            cls = classes[cid]
-            for member in cls.members[:kept]:
-                keep_vertices.update(member)
-            removed.append((cid, len(cls.members) - kept))
-        reduced = g.induced(keep_vertices)
-        threshold_value: int | None = kept
-    else:
-        kept = 0
-        removed = []
-        reduced = g
-        threshold_value = None if isinstance(fn(len(core)), TowerThreshold) else int(fn(len(core)))
+    for cid, cls in enumerate(classes):
+        if cid not in large:
+            for member in cls.members:
+                core.update(member)
+    kept = threshold if large else 0
+    keep_vertices = set(core)
+    for cid in large:
+        for member in classes[cid].members[:kept]:
+            keep_vertices.update(member)
 
     return ReducedGraphCertificate(
-        graph=reduced,
+        graph=g.induced(keep_vertices) if large else g,
         separator=dec.separator,
         s_prime=tuple(sorted(core - set(dec.separator))),
         classes=classes,
-        large_class_ids=tuple(active),
-        copies_kept=kept,
-        threshold_value=threshold_value,
-        removed=tuple(removed),
+        large_class_ids=large,
+        group_count=kept,
+        threshold=threshold,
+        removed=tuple((cid, len(classes[cid].members) - kept) for cid in large),
     )
 
 
@@ -337,19 +283,6 @@ class GuidingSublayout:
     template: tuple[str, ...]
     blocks: tuple[tuple[tuple[str, ...], str], ...]  # (run of reps, "asc"/"desc")
     base_layout: LinearLayout
-
-
-def _group_maps(cert: ReducedGraphCertificate, i: int):
-    """to_rep / from_rep vertex maps for group i."""
-    to_rep: dict[str, str] = {}
-    from_rep: dict[str, str] = {}
-    for cid in cert.large_class_ids:
-        cls = cert.classes[cid]
-        iso = cls.iso_of(i)
-        to_rep.update(iso)
-        for v, r in iso.items():
-            from_rep[r] = v
-    return to_rep, from_rep
 
 
 def _restricted_layout(layout: LinearLayout, keep: set[str]) -> LinearLayout:
@@ -398,26 +331,20 @@ def find_guiding_sublayout(
         raise GuidingError(f"need at least 5 large groups, certificate has {k}")
     core = set(cert.separator) | set(cert.s_prime)
     spine_pos = {v: i for i, v in enumerate(kernel_layout.spine)}
+    maps = cert.group_maps
     groups = list(range(k))
-    first_vertex = {i: min(cert.group_vertices(i)) for i in groups}
-    ref_l, ref_lp = sorted(groups, key=lambda i: first_vertex[i])[:2]
+    ref_l, ref_lp = sorted(groups, key=lambda i: min(maps[i][0]))[:2]
     rest = [i for i in groups if i not in (ref_l, ref_lp)]
-    rest.sort(key=lambda i: min(spine_pos[v] for v in cert.group_vertices(i)))
+    rest.sort(key=lambda i: min(spine_pos[v] for v in maps[i][0]))
 
-    l_to, l_from = _group_maps(cert, ref_l)
-    lp_to, lp_from = _group_maps(cert, ref_lp)
-
-    def maps_into_refs(i: int, use_l: bool) -> dict[str, str]:
-        to_rep, _ = _group_maps(cert, i)
-        target = l_from if use_l else lp_from
-        return {v: target[r] for v, r in to_rep.items()}
+    l_from, lp_from = maps[ref_l][1], maps[ref_lp][1]
+    into_l = {i: {v: l_from[r] for v, r in maps[i][0].items()} for i in rest}
+    into_lp = {i: {v: lp_from[r] for v, r in maps[i][0].items()} for i in rest}
 
     info: dict[tuple[int, int], object] = {}
     for ai, bi in itertools.combinations(range(len(rest)), 2):
         a, b = rest[ai], rest[bi]
-        info[(a, b)] = _info_key(
-            kernel_layout, core, maps_into_refs(a, True), maps_into_refs(b, False)
-        )
+        info[(a, b)] = _info_key(kernel_layout, core, into_l[a], into_lp[b])
 
     triple = None
     for ai, bi, ci in itertools.combinations(range(len(rest)), 3):
@@ -432,22 +359,21 @@ def find_guiding_sublayout(
     # template order over representatives + core, read off the X copy and
     # cross-checked against the Y and Z copies
     def template_via(i: int) -> tuple[str, ...]:
-        to_rep, _ = _group_maps(cert, i)
-        keep = core | set(to_rep)
-        return tuple(to_rep.get(v, v) for v in kernel_layout.spine if v in keep)
+        to_rep = maps[i][0]
+        return tuple(
+            to_rep.get(v, v) for v in kernel_layout.spine if v in core or v in to_rep
+        )
 
     template = template_via(x)
     if not (template == template_via(y) == template_via(z)):
         raise LiftError("triple with equal pullbacks disagrees on the template order")
 
     # page agreement across the three copies for every representative edge
-    maps = {i: _group_maps(cert, i) for i in (x, y, z)}
     sep = set(cert.separator)
-    page_of = kernel_layout.pages
     rep_pages: dict[Edge, set[int]] = {}
     for i in (x, y, z):
-        to_rep, _ = maps[i]
-        for (u, w), p in page_of.items():
+        to_rep = maps[i][0]
+        for (u, w), p in kernel_layout.pages.items():
             ru = to_rep.get(u)
             rw = to_rep.get(w)
             if ru is not None and rw is not None:
@@ -460,17 +386,8 @@ def find_guiding_sublayout(
         raise LiftError("triple with equal pullbacks disagrees on a page")
 
     # block sweep over the restricted spine
-    xs = set(_group_maps(cert, x)[0])
-    ys = set(_group_maps(cert, y)[0])
-    zs = set(_group_maps(cert, z)[0])
-    upsilon = core | xs | ys | zs
+    upsilon = core | set(maps[x][0]) | set(maps[y][0]) | set(maps[z][0])
     seq = [v for v in kernel_layout.spine if v in upsilon]
-    x_to = maps[x][0]
-    y_from = maps[y][1]
-    z_from = maps[z][1]
-    x_from = maps[x][1]
-    y_to = maps[y][0]
-    z_to = maps[z][0]
     blocks: list[tuple[tuple[str, ...], str]] = []
     i = 0
     while i < len(seq):
@@ -478,23 +395,20 @@ def find_guiding_sublayout(
         if v in core:
             i += 1
             continue
-        if v in xs:
-            direction = "asc"
-            first_to, second_from, third_from = x_to, y_from, z_from
-            first_set = xs
-        elif v in zs:
-            direction = "desc"
-            first_to, second_from, third_from = z_to, y_from, x_from
-            first_set = zs
+        if v in maps[x][0]:
+            direction, first, second, third = "asc", x, y, z
+        elif v in maps[z][0]:
+            direction, first, second, third = "desc", z, y, x
         else:
             raise LiftError("a block starts with the middle copy")
+        first_to = maps[first][0]
         j = i
         run: list[str] = []
-        while j < len(seq) and seq[j] in first_set:
+        while j < len(seq) and seq[j] in first_to:
             run.append(seq[j])
             j += 1
         reps = tuple(first_to[v] for v in run)
-        expect = [second_from[r] for r in reps] + [third_from[r] for r in reps]
+        expect = [maps[second][1][r] for r in reps] + [maps[third][1][r] for r in reps]
         got = seq[j : j + len(expect)]
         if got != expect:
             raise LiftError("solution block does not repeat per copy")
@@ -517,17 +431,14 @@ def lift_layout(
     validated and returned restricted to ``g_full``.
     """
     core = set(cert.separator) | set(cert.s_prime)
-    rep_of_class: dict[str, int] = {}
+    member_to_rep: dict[str, str] = {}
+    member_of: dict[tuple[str, int], str] = {}  # (representative vertex, member index)
     for cid in cert.large_class_ids:
-        for r in cert.classes[cid].representative:
-            rep_of_class[r] = cid
+        for i, iso in enumerate(cert.classes[cid].isos):
+            member_to_rep.update(iso)
+            for v, r in iso.items():
+                member_of[(r, i)] = v
     t = max(len(cert.classes[cid].members) for cid in cert.large_class_ids)
-
-    def member_vertex(r: str, i: int) -> str | None:
-        cls = cert.classes[rep_of_class[r]]
-        if i >= len(cls.members):
-            return None  # padding copy, dropped in the restriction
-        return cls.inverse_iso_of(i)[r]
 
     block_start = {reps[0]: (reps, direction) for reps, direction in guide.blocks}
     in_block_tail = {
@@ -544,18 +455,13 @@ def lift_layout(
         copies = range(t) if direction == "asc" else range(t - 1, -1, -1)
         for i in copies:
             for r in reps:
-                mv = member_vertex(r, i)
+                mv = member_of.get((r, i))  # None for a padding copy of a smaller class
                 if mv is not None:
                     spine.append(mv)
 
-    y_from = _group_maps(cert, guide.y)[1]
+    y_from = cert.group_maps[guide.y][1]
     base_pages = guide.base_layout.pages
     page_map: dict[Edge, int] = {}
-    member_to_rep: dict[str, str] = {}
-    for cid in cert.large_class_ids:
-        cls = cert.classes[cid]
-        for i in range(len(cls.members)):
-            member_to_rep.update(cls.iso_of(i))
     for u, w in g_full.edges:
         if u in core and w in core:
             page_map[(u, w)] = base_pages[(u, w)]
@@ -585,7 +491,7 @@ def lift_layout(
 InnerSolver = Callable[[Graph, LayoutKind, int], LinearLayout | None]
 
 
-def oracle_solver(guard: int = 12) -> InnerSolver:
+def oracle_solver(guard: int = DEFAULT_GUARD) -> InnerSolver:
     """The oracle as an inner solver, refusing graphs above ``guard`` vertices."""
     def solve(g: Graph, kind: LayoutKind, pages: int) -> LinearLayout | None:
         return solve_exhaustive(OracleQuery(g, kind, pages), guard=guard)

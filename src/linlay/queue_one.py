@@ -352,6 +352,7 @@ class BranchResult:
     labeling: Labeling | None
     levels: LevelAssignment | None
     branches_tried: int
+    bound_rejected: bool = False  # a component failed the edge-count bound
 
 
 def _solve_component(g: Graph) -> BranchResult:
@@ -441,7 +442,7 @@ def solve_queue_one_page_report(
     for comp in g.components():
         sub = g.induced(comp)
         if not edge_count_bound(sub, LayoutKind.QUEUE, 1):
-            return BranchResult(None, None, None, tried)
+            return BranchResult(None, None, None, tried, bound_rejected=True)
         if sub.m > edge_guard:
             raise BranchGuardError(
                 f"component has {sub.m} edges, above the guard of {edge_guard}"

@@ -19,8 +19,8 @@ from .kernel import (
     oracle_solver,
 )
 from .layouts import LayoutKind, LinearLayout, page_width, validate_layout
-from .oracle import OracleQuery, OracleSizeError, solve_exhaustive
-from .queue_one import BranchGuardError, solve_queue_one_page_report
+from .oracle import DEFAULT_GUARD, OracleQuery, OracleSizeError, solve_exhaustive
+from .queue_one import DEFAULT_EDGE_GUARD, BranchGuardError, solve_queue_one_page_report
 
 ALGORITHMS = ("oracle", "cutset", "queue1", "kernel")
 
@@ -38,8 +38,8 @@ class SolveRequest:
     width: int | None = None
     inner: str = "oracle"
     threshold: int | None = None
-    oracle_guard: int = 12
-    edge_guard: int = 26
+    oracle_guard: int = DEFAULT_GUARD
+    edge_guard: int = DEFAULT_EDGE_GUARD
     dump_states: str | None = None
     dump_branch: str | None = None
 
@@ -60,6 +60,8 @@ class SolveRequest:
             raise RequestError(f"unknown inner solver {self.inner!r}")
         if self.threshold is not None and self.threshold < 0:
             raise RequestError("threshold must be nonnegative")
+        if self.oracle_guard < 0 or self.edge_guard < 0:
+            raise RequestError("guards must be nonnegative")
 
 
 @dataclass
@@ -128,8 +130,7 @@ def _solve_kernel(req: SolveRequest) -> tuple[LinearLayout | None, dict[str, int
     dec = compute_vertex_integrity(g)
     assert dec is not None
     counters["vi"] = dec.p
-    threshold_fn = (lambda x: req.threshold) if req.threshold is not None else None
-    cert = build_reduced_graph(g, dec, req.pages, threshold_fn)
+    cert = build_reduced_graph(g, dec, req.pages, req.threshold)
     counters["kernel_vertices"] = cert.graph.n
     counters["kernel_groups"] = cert.group_count
 
@@ -189,6 +190,8 @@ def run(req: SolveRequest) -> RunReport:
                 branch = solve_queue_one_page_report(g, edge_guard=req.edge_guard)
                 counters["branches"] = branch.branches_tried
                 layout = branch.layout
+                if branch.bound_rejected:
+                    detail = "rejected by the edge-count bound"
                 if layout is not None and req.dump_branch is not None:
                     payload = {
                         "labeling": [

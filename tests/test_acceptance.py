@@ -126,7 +126,7 @@ def test_criterion_3_kernel_round_trip():
     for core, copy, k, kind, pages in KERNEL_CASES:
         g = twin_gadget(core, copy, k)
         dec = compute_vertex_integrity(g)
-        cert = build_reduced_graph(g, dec, pages, threshold_fn=lambda x: threshold)
+        cert = build_reduced_graph(g, dec, pages, threshold=threshold)
         assert cert.group_count >= 5, (core, copy, k)
         report = run(
             SolveRequest(g, "kernel", kind, pages, threshold=threshold, oracle_guard=26)

@@ -9,13 +9,11 @@ from linlay.generators import twin_gadget
 from linlay.graphs import Graph
 from linlay.kernel import (
     GuidingError,
-    TowerThreshold,
     build_reduced_graph,
     compute_vertex_integrity,
     find_guiding_sublayout,
     kernel_within_default_bound,
     lift_layout,
-    default_threshold,
     twin_partition,
 )
 from linlay.layouts import LayoutKind, LinearLayout, validate_layout
@@ -104,7 +102,7 @@ def test_twin_partition_matches_pairwise_bruteforce():
         for cls in classes:
             rep = cls.representative
             for i, member in enumerate(cls.members):
-                iso = cls.iso_of(i)
+                iso = cls.isos[i]
                 for u, w in itertools.combinations(member, 2):
                     assert g.has_edge(u, w) == g.has_edge(iso[u], iso[w])
                 for u in member:
@@ -130,15 +128,13 @@ def test_default_threshold_folds_everything():
     cert = build_reduced_graph(g, dec, 1)
     assert cert.covers_whole_graph(g)
     assert cert.group_count == 0
-    thr = default_threshold(1, 1)(1)
-    assert isinstance(thr, TowerThreshold)
-    assert thr > 10**100 and not (thr <= 10**100)
+    assert cert.large_class_ids == () and cert.threshold is None
 
 
 def test_overridden_threshold_star_of_pendants():
     g = star_of("s", [f"p{i}" for i in range(10)])
     dec = compute_vertex_integrity(g)
-    cert = build_reduced_graph(g, dec, 1, threshold_fn=lambda x: 3)
+    cert = build_reduced_graph(g, dec, 1, threshold=3)
     # one class of ten pendants, threshold 3: keep the core plus 3 groups
     assert cert.group_count == 3
     assert cert.graph.n == 1 + 3
@@ -151,7 +147,7 @@ def test_folding_loop_absorbs_small_classes():
     edges = [("a", f"p{i}") for i in range(6)] + [("a", "b"), ("b", "q0"), ("b", "q1")]
     g = Graph.from_edges(edges)
     dec = compute_vertex_integrity(g)
-    cert = build_reduced_graph(g, dec, 1, threshold_fn=lambda x: 3)
+    cert = build_reduced_graph(g, dec, 1, threshold=3)
     if set(dec.separator) == {"a", "b"}:
         assert cert.group_count == 3
         assert set(cert.s_prime) == {"q0", "q1"}
@@ -171,7 +167,7 @@ def test_kernel_size_within_paper_bound_symbolically():
 def test_guiding_sublayout_on_identical_groups():
     g = twin_gadget(1, 1, 8)
     dec = compute_vertex_integrity(g)
-    cert = build_reduced_graph(g, dec, 1, threshold_fn=lambda x: 5)
+    cert = build_reduced_graph(g, dec, 1, threshold=5)
     assert cert.group_count == 5
     kernel_layout = solve_exhaustive(OracleQuery(cert.graph, LayoutKind.STACK, 1))
     assert kernel_layout is not None
@@ -188,7 +184,7 @@ def test_guiding_sublayout_on_identical_groups():
 def test_guiding_requires_five_groups():
     g = twin_gadget(1, 1, 6)
     dec = compute_vertex_integrity(g)
-    cert = build_reduced_graph(g, dec, 1, threshold_fn=lambda x: 3)
+    cert = build_reduced_graph(g, dec, 1, threshold=3)
     layout = solve_exhaustive(OracleQuery(cert.graph, LayoutKind.STACK, 1))
     with pytest.raises(GuidingError):
         find_guiding_sublayout(layout, cert)
@@ -200,7 +196,7 @@ def test_lift_blocks_websequence_asc_desc():
     g = twin_gadget(1, 2, 6)
     dec = compute_vertex_integrity(g)
     assert dec.separator == ("a0",)
-    cert = build_reduced_graph(g, dec, 1, threshold_fn=lambda x: 5)
+    cert = build_reduced_graph(g, dec, 1, threshold=5)
     assert cert.group_count == 5
     layout = solve_exhaustive(OracleQuery(cert.graph, LayoutKind.STACK, 1))
     guide = find_guiding_sublayout(layout, cert)
@@ -241,7 +237,7 @@ def test_kernel_restriction_soundness():
     # any layout of the full graph restricts to a valid kernel layout
     g = twin_gadget(2, 1, 7)
     dec = compute_vertex_integrity(g)
-    cert = build_reduced_graph(g, dec, 1, threshold_fn=lambda x: 5)
+    cert = build_reduced_graph(g, dec, 1, threshold=5)
     full = solve_exhaustive(OracleQuery(g, LayoutKind.STACK, 1), guard=16)
     assert full is not None
     keep = set(cert.graph.vertices)
@@ -268,7 +264,7 @@ def test_no_matching_triple_reports_absent():
     # candidate pullbacks differ pairwise, leaving no monochromatic triple
     g = twin_gadget(1, 1, 8)
     dec = compute_vertex_integrity(g)
-    cert = build_reduced_graph(g, dec, 2, threshold_fn=lambda x: 5)
+    cert = build_reduced_graph(g, dec, 2, threshold=5)
     assert cert.group_count == 5
     pendants = sorted(v for v in cert.graph.vertices if v != "a0")
     spine = ("a0",) + tuple(pendants)
@@ -302,7 +298,7 @@ def test_guide_with_ascending_and_descending_blocks():
     g = Graph.from_edges(edges)
     dec = compute_vertex_integrity(g)
     assert dec.separator == (core,)
-    cert = build_reduced_graph(g, dec, 1, threshold_fn=lambda x: 5)
+    cert = build_reduced_graph(g, dec, 1, threshold=5)
     assert cert.group_count == 5 and len(cert.large_class_ids) == 2
 
     spine = [core] + pend[2:]  # reference groups hold p00/p01; rest ascend

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
+import linlay
 from linlay.fileformats import (
     FormatError,
     layout_from_json,
@@ -132,11 +135,29 @@ def test_svg_two_page_layouts_render_deterministically(k4):
 
 
 def test_svg_golden_file_byte_equality():
-    from pathlib import Path
-
     from linlay.generators import complete_graph
 
     k4_graph = complete_graph(4)
     stack = solve_exhaustive(OracleQuery(k4_graph, LayoutKind.STACK, 2))
     golden = Path(__file__).parent / "data" / "k4_stack_2p.svg"
     assert render_svg(stack) == golden.read_text()
+
+
+def test_package_modules_use_every_imported_name():
+    """An imported name that its module never references is dead code."""
+    unused = []
+    for path in sorted(Path(linlay.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":  # re-exports the package's names
+            continue
+        tree = ast.parse(path.read_text())
+        imported: dict[str, int] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and (
+                getattr(node, "module", None) != "__future__"
+            ):
+                for alias in node.names:
+                    imported[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in used]
+    assert unused == []

@@ -36,6 +36,24 @@ def test_request_rejects_negative_threshold(c4):
     assert SolveRequest(c4, "kernel", LayoutKind.STACK, 1, threshold=0).threshold == 0
 
 
+@pytest.mark.parametrize("guard", [{"oracle_guard": -1}, {"edge_guard": -1}])
+def test_request_rejects_negative_guards(c4, guard):
+    with pytest.raises(RequestError):
+        SolveRequest(c4, "oracle", LayoutKind.STACK, 1, **guard)
+    zero = {name: 0 for name in guard}
+    assert SolveRequest(c4, "oracle", LayoutKind.STACK, 1, **zero).pages == 1
+
+
+@pytest.mark.parametrize("algo", ["queue1", "cutset"])
+def test_component_edge_count_rejection_names_the_bound(algo):
+    # the whole graph passes the bound (10 <= 2*25 - 3); its K5 component does not
+    k5 = complete_graph(5)
+    g = Graph.build([*k5.vertices, *(f"z{i:02d}" for i in range(20))], k5.edges)
+    report = run(SolveRequest(g, algo, LayoutKind.QUEUE, 1))
+    assert report.verdict == "infeasible"
+    assert report.detail == "rejected by the edge-count bound"
+
+
 def test_run_oracle_found(c4):
     report = run(SolveRequest(c4, "oracle", LayoutKind.STACK, 1))
     assert report.verdict == "found" and report.exit_code == 0
@@ -133,6 +151,13 @@ def test_cli_exit_codes(tmp_path, capsys):
         ["solve", "G", "--algo", "kernel", "--kind", "stack", "--pages", "1", "--threshold", "-1"],
         ["kernelize", "G", "--pages", "1", "--threshold", "-1"],
         ["bench", "G", "--algo", "kernel", "--kind", "stack", "--pages", "1", "--threshold", "-1"],
+        ["vi", "G", "--budget", "0"],
+        ["vi", "G", "--budget", "-1"],
+        ["oracle", "G", "--kind", "stack", "--pages", "1", "--guard", "-1"],
+        ["solve", "G", "--algo", "oracle", "--kind", "stack", "--pages", "1", "--guard", "-1"],
+        ["bench", "G", "--algo", "oracle", "--kind", "stack", "--pages", "1", "--guard", "-1"],
+        ["solve", "G", "--algo", "queue1", "--kind", "queue", "--pages", "1", "--edge-guard", "-1"],
+        ["bench", "G", "--algo", "queue1", "--kind", "queue", "--pages", "1", "--edge-guard", "-1"],
     ],
 )
 def test_cli_invalid_arguments_exit_3(tmp_path, capsys, argv):
@@ -221,6 +246,32 @@ def test_cli_dump_states_golden(tmp_path, capsys, kind):
     golden = Path(__file__).parent / "data" / f"dump_states_c6_{kind}_2p_w2.txt"
     assert dump.read_bytes() == golden.read_bytes()
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("threshold", [None, 0, 3, 5])
+def test_cli_kernelize_golden(tmp_path, capsys, threshold):
+    """Pins the whole certificate: classes, largeness, kept groups, removed
+    counts and the threshold echoed back (null without one)."""
+    path = write_graph(tmp_path, twin_gadget(2, 2, 10))
+    cert = tmp_path / "cert.json"
+    extra = [] if threshold is None else ["--threshold", str(threshold)]
+    assert main(["kernelize", path, "--pages", "2", *extra, "--out-cert", str(cert)]) == 0
+    name = "none" if threshold is None else threshold
+    golden = Path(__file__).parent / "data" / f"kernelize_tg_2_2_10_2p_t{name}.json"
+    assert cert.read_bytes() == golden.read_bytes()
+    capsys.readouterr()
+
+
+def test_cli_kernel_lifted_witness_golden(tmp_path, capsys):
+    path = write_graph(tmp_path, twin_gadget(1, 1, 8))
+    out = tmp_path / "layout.json"
+    assert main(
+        ["solve", path, "--algo", "kernel", "--kind", "stack", "--pages", "1",
+         "--threshold", "5", "--out", str(out)]
+    ) == 0
+    assert json.loads(capsys.readouterr().out)["counters"]["lifted"] == 1
+    golden = Path(__file__).parent / "data" / "kernel_lift_tg_1_1_8_stack_1p_t5.json"
+    assert out.read_bytes() == golden.read_bytes()
 
 
 def test_cli_bench_csv(tmp_path, capsys):
