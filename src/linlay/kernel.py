@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .graphs import Edge, Graph, edge
 from .layouts import LayoutKind, LinearLayout, validate_layout
@@ -47,6 +47,27 @@ class ViDecomposition:
     p: int
 
 
+def _components_avoiding(g: Graph, sep: Iterable[str]) -> Iterator[list[str]]:
+    """Components of G - S, by smallest vertex, each in BFS order from it.
+
+    Walks ``g.adjacency`` and skips S, so no graph is rebuilt; neighbours
+    are visited in canonical order, as ``Graph.iter_bfs`` does.
+    """
+    seen = set(sep)
+    adj = g.adjacency
+    for start in g.vertices:
+        if start in seen:
+            continue
+        seen.add(start)
+        order = [start]
+        for v in order:
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    order.append(w)
+        yield order
+
+
 def _vi_witness(g: Graph, p: int) -> tuple[str, ...] | None:
     """Separator S with |S| + max component size <= p, or None.
 
@@ -55,24 +76,14 @@ def _vi_witness(g: Graph, p: int) -> tuple[str, ...] | None:
     """
 
     def rec(sep: frozenset[str]) -> tuple[str, ...] | None:
-        rest = g.without_vertices(sep)
-        bad = None
-        for comp in rest.components():
+        for comp in _components_avoiding(g, sep):
             if len(comp) + len(sep) > p:
-                bad = comp
                 break
-        if bad is None:
+        else:
             return tuple(sorted(sep))
         if len(sep) >= p:
             return None
-        need = p - len(sep) + 1
-        sub = g.induced(bad)
-        piece = []
-        for v in sub.iter_bfs(bad[0]):
-            piece.append(v)
-            if len(piece) == need:
-                break
-        for v in piece:
+        for v in comp[: p - len(sep) + 1]:
             found = rec(sep | {v})
             if found is not None:
                 return found
@@ -93,8 +104,8 @@ def compute_vertex_integrity(g: Graph, budget: int | None = None) -> ViDecomposi
     for p in range(1, top + 1):
         sep = _vi_witness(g, p)
         if sep is not None:
-            rest = g.without_vertices(sep)
-            return ViDecomposition(sep, rest.components(), p)
+            comps = tuple(tuple(sorted(c)) for c in _components_avoiding(g, sep))
+            return ViDecomposition(sep, comps, p)
     return None
 
 
@@ -119,44 +130,40 @@ class TwinClass:
 
 
 def _attachment_iso(
-    g: Graph, sep: Iterable[str], src: tuple[str, ...], dst: tuple[str, ...]
+    g: Graph, profile: dict[str, tuple], src: tuple[str, ...], dst: tuple[str, ...]
 ) -> dict[str, str] | None:
-    """First map src -> dst preserving internal edges and S-attachments."""
-    if len(src) != len(dst):
+    """First map src -> dst preserving internal edges and S-attachments.
+
+    ``profile`` gives each vertex its degree and its adjacency to each
+    separator vertex; a map must preserve it.
+    """
+    if sorted(profile[u] for u in src) != sorted(profile[w] for w in dst):
         return None
-    sep = tuple(sep)
-
-    def profile(v):
-        return (
-            g.degree(v),
-            tuple(s in g.adjacency[v] for s in sep),
-        )
-
     for perm in itertools.permutations(dst):
         mapping = dict(zip(src, perm))
-        ok = True
-        for u in src:
-            if profile(u) != profile(mapping[u]):
-                ok = False
-                break
-        if not ok:
+        if any(profile[u] != profile[mapping[u]] for u in src):
             continue
-        for u, w in itertools.combinations(src, 2):
-            if g.has_edge(u, w) != g.has_edge(mapping[u], mapping[w]):
-                ok = False
-                break
-        if ok:
+        if all(
+            g.has_edge(u, w) == g.has_edge(mapping[u], mapping[w])
+            for u, w in itertools.combinations(src, 2)
+        ):
             return mapping
     return None
 
 
 def twin_partition(g: Graph, dec: ViDecomposition) -> tuple[TwinClass, ...]:
     """Partition the components of G - S by the twin relation."""
+    adj = g.adjacency
+    profile = {
+        v: (len(adj[v]), tuple(s in adj[v] for s in dec.separator))
+        for comp in dec.components
+        for v in comp
+    }
     classes: list[tuple[list[tuple[str, ...]], list[dict[str, str]]]] = []
     for comp in dec.components:
         placed = False
         for members, isos in classes:
-            mapping = _attachment_iso(g, dec.separator, comp, members[0])
+            mapping = _attachment_iso(g, profile, comp, members[0])
             if mapping is not None:
                 members.append(comp)
                 isos.append(mapping)

@@ -2,10 +2,14 @@
 
 Deliberately free of clever machinery: it extends the spine vertex by
 vertex in lexicographic order, assigns pages to each edge as soon as both
-endpoints are placed, and backtracks on the first conflict.  Pruning only
-discards partial states that already violate a constraint, so the verdict
-matches plain enumeration.  The returned witness is the lexicographically
-first one: smallest feasible spine, then the smallest page vector over the
+endpoints are placed, and backtracks on the first conflict.  Two more
+rules cut the search without changing its order: a forward check drops a
+dead prefix, one with an edge to an unplaced vertex that no page can take
+any more, and a reversal break skips every spine with ``spine[0] >
+spine[-1]``, the reversal of one that is searched; counting doubles the
+number of layouts found for n >= 2.  So the verdict and the count match
+plain enumeration.  The returned witness is the lexicographically first
+one: smallest feasible spine, then the smallest page vector over the
 canonically ordered edges of that spine.
 """
 
@@ -49,7 +53,6 @@ class _Search:
     def __init__(self, query: OracleQuery):
         g = query.graph
         self.g = g
-        self.kind = query.kind
         self.stack_kind = query.kind is LayoutKind.STACK
         self.pages = query.pages
         self.q = query.max_width
@@ -62,7 +65,14 @@ class _Search:
         self.by_page: dict[int, list[tuple[int, int]]] = {
             p: [] for p in range(1, query.pages + 1)
         }
-        self.used: set[str] = set()
+        # neighbours of each vertex that are not placed yet
+        self.unplaced_deg = {v: len(g.adjacency[v]) for v in g.vertices}
+        # stack: per page, how many assigned edges pass strictly over each position
+        self.cover = {p: [0] * g.n for p in self.by_page}
+        # queue: per page, the running maximum of the left ends of assigned edges
+        self.max_left = {p: [-1] for p in self.by_page}
+        # unplaced vertices greater than spine[0]
+        self.above = 0
 
     # -- pruning -------------------------------------------------------------
 
@@ -101,6 +111,36 @@ class _Search:
         cap_total = q * self.pages
         return max(total, default=0) <= cap_total
 
+    def _forward_ok(self, lo: int) -> bool:
+        """Forward check: every dangling edge still has a page it may take.
+
+        A dangling edge has one endpoint placed, at position ``a``, and its
+        other endpoint unplaced, so that endpoint lands right of the whole
+        prefix.  On a stack page every assigned edge ``(x, y)`` with
+        ``x < a < y`` crosses it; on a queue page every assigned edge with
+        ``a < x`` nests inside it.  Assigned edges keep their pages in every
+        completion, so a dangling edge with all pages ruled out makes the
+        prefix dead, and cutting it loses no solution.
+
+        Called once the newest vertex, at position ``k``, has pages for its
+        edges, whose left ends are at least ``lo``; the previous prefix
+        passed the check.  Placing a vertex only removes dangling edges, so
+        a stack prefix can die only at a position whose cover count just
+        grew, strictly inside ``(lo, k)``.  A queue page whose largest left
+        end is ``x`` rules out every ``a < x``, so a queue prefix is dead
+        exactly when a placed vertex left of the smallest such ``x`` over
+        the pages still has an unplaced neighbour.
+        """
+        spine, unplaced = self.spine, self.unplaced_deg
+        if self.stack_kind:
+            rows = self.cover.values()
+            for i in range(lo + 1, len(spine) - 1):
+                if unplaced[spine[i]] and all(row[i] for row in rows):
+                    return False
+            return True
+        bound = min(ml[-1] for ml in self.max_left.values())
+        return not any(unplaced[spine[i]] for i in range(bound))
+
     def _conflicts(self, a1: int, b1: int, p: int) -> bool:
         # Kept inline: this is the search's inner loop, and a shared position
         # predicate made solve_exhaustive 24-38% slower (ROADMAP item 5).
@@ -119,7 +159,8 @@ class _Search:
     # -- enumeration -----------------------------------------------------------
 
     def run(self, count_all: bool) -> int | tuple[str, ...] | None:
-        """Count all full solutions, or return the first feasible spine."""
+        """Count the full solutions with ``spine[0] < spine[-1]``, or return
+        the first feasible spine."""
         self.count = 0
         found = self._extend(count_all)
         if count_all:
@@ -127,28 +168,57 @@ class _Search:
         return tuple(self.spine) if found else None
 
     def _extend(self, count_all: bool) -> bool:
-        if len(self.spine) == self.n:
+        """Place the next vertex, in vertex order, and page its new edges.
+
+        Reversal break: reversing a spine keeps every page valid and the
+        page width the same, so for n >= 2 the lex-first valid spine has
+        ``spine[0] < spine[-1]``.  A prefix whose unplaced vertices are all
+        below ``spine[0]`` can only end below it and is cut.  Each valid
+        layout with ``spine[0] > spine[-1]`` is the reversal of exactly one
+        that is kept, so the full count is twice the number kept.
+        """
+        i = len(self.spine)
+        if i == self.n:
             if count_all:
                 self.count += 1
                 return False
             return True
-        for v in self.verts:
-            if v in self.used:
+        above_before = self.above
+        for rank, v in enumerate(self.verts):
+            if v in self.pos:
                 continue
-            i = len(self.spine)
+            if i == 0:
+                above = self.n - 1 - rank
+            elif v > self.spine[0]:
+                above = above_before - 1
+            else:
+                above = above_before
+            if above == 0 and i + 1 < self.n:
+                continue  # reversal break
+            self.above = above
             self.spine.append(v)
             self.pos[v] = i
-            self.used.add(v)
-            new_edges = sorted(edge(v, u) for u in self.g.neighbors(v) if u in self.pos and u != v)
-            if self._assign(new_edges, 0, count_all):
+            new_edges = []
+            lo = i
+            for u in self.g.adjacency[v]:
+                self.unplaced_deg[u] -= 1
+                if u in self.pos:
+                    new_edges.append(edge(v, u))
+                    lo = min(lo, self.pos[u])
+            new_edges.sort()
+            if self._assign(new_edges, 0, lo, count_all):
                 return True
+            for u in self.g.adjacency[v]:
+                self.unplaced_deg[u] += 1
             self.spine.pop()
             del self.pos[v]
-            self.used.remove(v)
+        self.above = above_before
         return False
 
-    def _assign(self, new_edges: list[Edge], idx: int, count_all: bool) -> bool:
+    def _assign(self, new_edges: list[Edge], idx: int, lo: int, count_all: bool) -> bool:
         if idx == len(new_edges):
+            if new_edges and not self._forward_ok(lo):
+                return False
             if not self._width_ok():
                 return False
             return self._extend(count_all)
@@ -161,10 +231,22 @@ class _Search:
                 continue
             self.assigned[e] = p
             self.by_page[p].append((a, b))
-            if self._assign(new_edges, idx + 1, count_all):
+            if self.stack_kind:
+                row = self.cover[p]
+                for j in range(a + 1, b):
+                    row[j] += 1
+            else:
+                ml = self.max_left[p]
+                ml.append(max(ml[-1], a))
+            if self._assign(new_edges, idx + 1, lo, count_all):
                 return True
             del self.assigned[e]
             self.by_page[p].pop()
+            if self.stack_kind:
+                for j in range(a + 1, b):
+                    row[j] -= 1
+            else:
+                ml.pop()
         return False
 
 
@@ -231,4 +313,5 @@ def solve_exhaustive_all(query: OracleQuery, guard: int = DEFAULT_GUARD) -> int:
         return 1
     result = _Search(query).run(count_all=True)
     assert isinstance(result, int)
-    return result
+    # the reversal break kept one layout of each reversed pair
+    return 2 * result if query.graph.n >= 2 else result

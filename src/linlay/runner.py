@@ -62,6 +62,10 @@ class SolveRequest:
             raise RequestError("threshold must be nonnegative")
         if self.oracle_guard < 0 or self.edge_guard < 0:
             raise RequestError("guards must be nonnegative")
+        if self.dump_states is not None and self.algorithm != "cutset":
+            raise RequestError("only cutset dumps its states")
+        if self.dump_branch is not None and self.algorithm != "queue1":
+            raise RequestError("only queue1 dumps its branch")
 
 
 @dataclass

@@ -65,12 +65,18 @@ def all_layouts(g, kind, pages):
             yield LinearLayout(kind, pages, spine, dict(zip(edges, assignment)))
 
 
-def naive_layout_exists(g, kind, pages, max_width=None):
+def naive_lex_first_layout(g, kind, pages, max_width=None):
+    """First valid layout within the width: spines in ``itertools.permutations``
+    order, then page vectors over ``g.edges`` in ``itertools.product`` order."""
     for layout in all_layouts(g, kind, pages):
         if naive_is_valid(g, layout):
             if max_width is None or naive_page_width(layout) <= max_width:
-                return True
-    return False
+                return layout
+    return None
+
+
+def naive_layout_exists(g, kind, pages, max_width=None):
+    return naive_lex_first_layout(g, kind, pages, max_width) is not None
 
 
 def naive_count_layouts(g, kind, pages, max_width=None):
@@ -135,6 +141,13 @@ def random_connected_graph(rng: random.Random, n: int, extra_edges: int) -> Grap
     rng.shuffle(candidates)
     edges.update(candidates[:extra_edges])
     return Graph.build(names, edges)
+
+
+def random_graph(rng: random.Random, n: int, m: int) -> Graph:
+    """``m`` distinct random edges on ``n`` vertices; may be disconnected and
+    keep isolated vertices."""
+    names = [f"v{i}" for i in range(n)]
+    return Graph.build(names, rng.sample(list(itertools.combinations(names, 2)), m))
 
 
 # -- small named graphs ----------------------------------------------------

@@ -21,7 +21,6 @@ from linlay.oracle import OracleQuery, solve_exhaustive
 from linlay.runner import SolveRequest, run
 
 from naive import (
-    complete_of,
     cycle_of,
     naive_twins,
     naive_vertex_integrity,

@@ -18,8 +18,10 @@ from naive import (
     cycle_of,
     naive_count_layouts,
     naive_layout_exists,
+    naive_lex_first_layout,
     path_of,
     random_connected_graph,
+    random_graph,
     star_of,
 )
 
@@ -56,6 +58,8 @@ def test_counts():
     assert solve_exhaustive_all(OracleQuery(g, LayoutKind.STACK, 1)) == 2
     single = Graph.build(["a"], [])
     assert solve_exhaustive_all(OracleQuery(single, LayoutKind.STACK, 1)) == 1
+    edgeless = Graph.build(["a", "b"], [])
+    assert solve_exhaustive_all(OracleQuery(edgeless, LayoutKind.STACK, 1)) == 2
     triangle = cycle_of("a", "b", "c")
     # no nesting is possible among three vertices: all 3! spines are valid
     assert solve_exhaustive_all(OracleQuery(triangle, LayoutKind.QUEUE, 1)) == 6
@@ -71,6 +75,25 @@ def test_counts_match_naive_enumeration():
         assert solve_exhaustive_all(OracleQuery(g, kind, pages, width)) == naive_count_layouts(
             g, kind, pages, width
         )
+
+
+def test_witness_and_count_match_naive_enumeration():
+    """The pruned search keeps the lex-first witness and the exact count,
+    also on disconnected graphs and with isolated vertices."""
+    rng = random.Random(11)
+    for n in range(7):
+        for kind in LayoutKind:
+            for pages in (1, 2):
+                for _ in range(3):
+                    m = rng.randint(0, min(n * (n - 1) // 2, 5 if n == 6 else 7))
+                    g = random_graph(rng, n, m)
+                    for width in (None, 0, 1, 2):
+                        query = OracleQuery(g, kind, pages, width)
+                        case = (g.edges, n, kind, pages, width)
+                        expected = naive_lex_first_layout(g, kind, pages, width)
+                        assert solve_exhaustive(query) == expected, case
+                        count = naive_count_layouts(g, kind, pages, width)
+                        assert solve_exhaustive_all(query) == count, case
 
 
 def test_guard_is_distinct_from_infeasibility():

@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import ast
-import json
 from pathlib import Path
 
 import pytest
@@ -146,7 +145,9 @@ def test_svg_golden_file_byte_equality():
 def test_package_modules_use_every_imported_name():
     """An imported name that its module never references is dead code."""
     unused = []
-    for path in sorted(Path(linlay.__file__).parent.glob("*.py")):
+    package = sorted(Path(linlay.__file__).parent.glob("*.py"))
+    tests = sorted(Path(__file__).parent.glob("*.py"))
+    for path in package + tests:
         if path.name == "__init__.py":  # re-exports the package's names
             continue
         tree = ast.parse(path.read_text())

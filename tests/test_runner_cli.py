@@ -158,6 +158,12 @@ def test_cli_exit_codes(tmp_path, capsys):
         ["bench", "G", "--algo", "oracle", "--kind", "stack", "--pages", "1", "--guard", "-1"],
         ["solve", "G", "--algo", "queue1", "--kind", "queue", "--pages", "1", "--edge-guard", "-1"],
         ["bench", "G", "--algo", "queue1", "--kind", "queue", "--pages", "1", "--edge-guard", "-1"],
+        ["solve", "G", "--algo", "oracle", "--kind", "stack", "--pages", "1", "--dump-branch", "F"],
+        ["solve", "G", "--algo", "oracle", "--kind", "stack", "--pages", "1", "--dump-states", "F"],
+        ["solve", "G", "--algo", "cutset", "--kind", "stack", "--pages", "1", "--dump-branch", "F"],
+        ["solve", "G", "--algo", "queue1", "--kind", "queue", "--pages", "1", "--dump-states", "F"],
+        ["solve", "G", "--algo", "kernel", "--kind", "stack", "--pages", "1", "--dump-states", "F"],
+        ["solve", "G", "--algo", "kernel", "--kind", "stack", "--pages", "1", "--dump-branch", "F"],
     ],
 )
 def test_cli_invalid_arguments_exit_3(tmp_path, capsys, argv):
