@@ -144,9 +144,3 @@ def load_frozen_n7() -> list[Graph]:
         )
     return [_mask_to_graph(7, m) for m in masks]
 
-
-def freeze_n7(path) -> int:
-    masks = connected_graph_masks(7)
-    with open(path, "w") as fh:
-        fh.write("\n".join(f"{m:x}" for m in masks) + "\n")
-    return len(masks)

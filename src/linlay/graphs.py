@@ -103,6 +103,24 @@ class Graph:
             comps.append(tuple(sorted(comp)))
         return tuple(sorted(comps))
 
+    def twin_classes(self) -> tuple[tuple[str, ...], ...]:
+        """Twin classes of two or more vertices, each sorted, listed by their
+        smallest vertex.
+
+        Vertices are open twins when N(u) = N(v) and closed twins when
+        N[u] = N[v]; swapping two twins of either sort is an automorphism.
+        Each relation is an equivalence, and no vertex has both an open
+        twin ``v`` and a closed twin ``w``: ``w`` would lie in N(u) = N(v),
+        so ``v`` would lie in N[w] = N[u] and hence in N(u) = N(v).  So the
+        classes returned are disjoint.
+        """
+        adj = self.adjacency
+        classes: dict[tuple[bool, tuple[str, ...]], list[str]] = {}
+        for v in self.vertices:
+            classes.setdefault((False, adj[v]), []).append(v)
+            classes.setdefault((True, tuple(sorted(adj[v] + (v,)))), []).append(v)
+        return tuple(sorted(tuple(c) for c in classes.values() if len(c) > 1))
+
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.components()) == 1
 

@@ -137,22 +137,49 @@ def _attachment_iso(
     ``profile`` gives each vertex its degree and its adjacency to each
     separator vertex; a map must preserve it.
     """
-    if sorted(profile[u] for u in src) != sorted(profile[w] for w in dst):
-        return None
-    for perm in itertools.permutations(dst):
-        mapping = dict(zip(src, perm))
-        if any(profile[u] != profile[mapping[u]] for u in src):
+    images: list[str] = []
+    return dict(zip(src, images)) if _extend_iso(g, profile, src, dst, images) else None
+
+
+def _extend_iso(
+    g: Graph, profile: dict[str, tuple], src: tuple[str, ...], dst: tuple[str, ...],
+    images: list[str],
+) -> bool:
+    """Extend the partial map ``src[:i] -> images`` to all of src.
+
+    Backtracking maps ``src[i]`` to the unused images in ``dst`` order
+    that keep its profile and its edges to ``src[:i]``.  Every condition
+    concerns one or two mapped vertices, so a failing partial map fails
+    in every completion, and the first map found is the first in
+    ``itertools.permutations(dst)`` order.  A module-level function, not a
+    closure: a recursive closure is a reference cycle per call, left for
+    the cyclic garbage collector.
+    """
+    i = len(images)
+    if i == len(src):
+        return True
+    u = src[i]
+    for w in dst:
+        if w in images or profile[w] != profile[u]:
             continue
-        if all(
-            g.has_edge(u, w) == g.has_edge(mapping[u], mapping[w])
-            for u, w in itertools.combinations(src, 2)
-        ):
-            return mapping
-    return None
+        for j in range(i):
+            if g.has_edge(src[j], u) != g.has_edge(images[j], w):
+                break
+        else:
+            images.append(w)
+            if _extend_iso(g, profile, src, dst, images):
+                return True
+            images.pop()
+    return False
 
 
 def twin_partition(g: Graph, dec: ViDecomposition) -> tuple[TwinClass, ...]:
-    """Partition the components of G - S by the twin relation."""
+    """Partition the components of G - S by the twin relation.
+
+    A component is tried against the classes in the order they arose, but
+    only against those whose representative has the same sorted vertex
+    profiles, as every twin of it has.
+    """
     adj = g.adjacency
     profile = {
         v: (len(adj[v]), tuple(s in adj[v] for s in dec.separator))
@@ -160,16 +187,18 @@ def twin_partition(g: Graph, dec: ViDecomposition) -> tuple[TwinClass, ...]:
         for v in comp
     }
     classes: list[tuple[list[tuple[str, ...]], list[dict[str, str]]]] = []
+    by_profiles: dict[tuple, list[int]] = {}
     for comp in dec.components:
-        placed = False
-        for members, isos in classes:
+        same = by_profiles.setdefault(tuple(sorted(profile[v] for v in comp)), [])
+        for k in same:
+            members, isos = classes[k]
             mapping = _attachment_iso(g, profile, comp, members[0])
             if mapping is not None:
                 members.append(comp)
                 isos.append(mapping)
-                placed = True
                 break
-        if not placed:
+        else:
+            same.append(len(classes))
             classes.append(([comp], [{v: v for v in comp}]))
     return tuple(
         TwinClass(

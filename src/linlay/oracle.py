@@ -2,19 +2,23 @@
 
 Deliberately free of clever machinery: it extends the spine vertex by
 vertex in lexicographic order, assigns pages to each edge as soon as both
-endpoints are placed, and backtracks on the first conflict.  Two more
-rules cut the search without changing its order: a forward check drops a
-dead prefix, one with an edge to an unplaced vertex that no page can take
-any more, and a reversal break skips every spine with ``spine[0] >
-spine[-1]``, the reversal of one that is searched; counting doubles the
-number of layouts found for n >= 2.  So the verdict and the count match
-plain enumeration.  The returned witness is the lexicographically first
-one: smallest feasible spine, then the smallest page vector over the
-canonically ordered edges of that spine.
+endpoints are placed, and backtracks on the first conflict.  More rules
+cut the search without changing its order.  A forward check drops a dead
+prefix, one with an edge to an unplaced vertex that no page can take any
+more.  A twin break places each class of twins (vertices with the same
+open or the same closed neighbourhood) in name order.  A reversal break
+skips every spine with ``spine[0] > spine[-1]``, the reversal of one that
+is searched.  A count on a graph with twins uses the twin break alone and
+multiplies the layouts found by the product of ``|class|!``; without
+twins it uses the reversal break and doubles for n >= 2.  So the verdict
+and the count match plain enumeration.  The returned witness is the
+lexicographically first one: smallest feasible spine, then the smallest
+page vector over the canonically ordered edges of that spine.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .graphs import Edge, Graph, edge
@@ -60,7 +64,6 @@ class _Search:
         self.n = g.n
         self.spine: list[str] = []
         self.pos: dict[str, int] = {}
-        self.assigned: dict[Edge, int] = {}
         # per page: position pairs (a, b) with a < b of assigned edges
         self.by_page: dict[int, list[tuple[int, int]]] = {
             p: [] for p in range(1, query.pages + 1)
@@ -71,45 +74,32 @@ class _Search:
         self.cover = {p: [0] * g.n for p in self.by_page}
         # queue: per page, the running maximum of the left ends of assigned edges
         self.max_left = {p: [-1] for p in self.by_page}
+        # width bound only: per page, how many assigned edges span each gap,
+        # gap i lying between positions i and i + 1
+        self.gaps = None if self.q is None else {p: [0] * g.n for p in self.by_page}
         # unplaced vertices greater than spine[0]
         self.above = 0
+        # twin break: each twin's next smaller twin; empty when G has no twins
+        classes = g.twin_classes()
+        self.twin_prev = {v: u for c in classes for u, v in zip(c, c[1:])}
+        # layouts per twin-ordered one: the twin swaps permute freely
+        self.orbit = math.prod(math.factorial(len(c)) for c in classes)
 
     # -- pruning -------------------------------------------------------------
 
-    def _width_ok(self) -> bool:
-        """Per-gap check over the placed prefix.
+    def _cut_ok(self) -> bool:
+        """Width check on the gap right of the placed prefix.
 
-        Sound for partial states: per-page counts use only assigned edges,
-        the total count adds dangling edges (one endpoint placed), which
-        must eventually occupy some page.
+        That gap is spanned by every edge between the placed vertices and
+        the rest, ``unplaced_deg`` summed over the placed vertices; each
+        such edge, assigned or dangling, takes some page there, so more
+        than ``q`` times the number of pages leaves no valid completion.  The count at a gap
+        depends only on the vertices left of it, so the gaps of shorter
+        prefixes keep the counts they passed with.  The per-page counts of
+        assigned edges are checked in ``_assign`` as edges get pages.
         """
-        if self.q is None:
-            return True
-        k = len(self.spine)
-        q = self.q
-        total = [0] * k
-        for pairs in self.by_page.values():
-            if not pairs:
-                continue
-            row = [0] * k
-            for a, b in pairs:
-                for i in range(a, b):
-                    row[i] += 1
-                    total[i] += 1
-            if max(row) > q:
-                return False
-        pos = self.pos
-        for e in self.g.edges:
-            if e in self.assigned:
-                continue
-            ina, inb = e[0] in pos, e[1] in pos
-            if ina == inb:
-                continue
-            a = pos[e[0]] if ina else pos[e[1]]
-            for i in range(a, k):
-                total[i] += 1
-        cap_total = q * self.pages
-        return max(total, default=0) <= cap_total
+        unplaced = self.unplaced_deg
+        return sum(unplaced[v] for v in self.spine) <= self.q * self.pages
 
     def _forward_ok(self, lo: int) -> bool:
         """Forward check: every dangling edge still has a page it may take.
@@ -159,16 +149,34 @@ class _Search:
     # -- enumeration -----------------------------------------------------------
 
     def run(self, count_all: bool) -> int | tuple[str, ...] | None:
-        """Count the full solutions with ``spine[0] < spine[-1]``, or return
-        the first feasible spine."""
+        """Count every valid layout, or return the first feasible spine.
+
+        A count searches the twin-ordered spines and multiplies by the
+        number of twin swaps when ``G`` has twins; otherwise it searches
+        the spines with ``spine[0] < spine[-1]`` and doubles for n >= 2.
+        """
         self.count = 0
+        # reversal break: always in find mode, in count mode only without twins
+        self.reverse = not (count_all and self.twin_prev)
         found = self._extend(count_all)
-        if count_all:
-            return self.count
-        return tuple(self.spine) if found else None
+        if not count_all:
+            return tuple(self.spine) if found else None
+        if self.twin_prev:
+            return self.count * self.orbit
+        # the reversal break kept one layout of each reversed pair
+        return 2 * self.count if self.n >= 2 else self.count
 
     def _extend(self, count_all: bool) -> bool:
         """Place the next vertex, in vertex order, and page its new edges.
+
+        Twin break: swapping two twins maps valid layouts to valid layouts
+        of the same page width, and swapping two twins placed out of name
+        order gives a smaller spine.  So the lex-first valid spine places
+        each twin class in name order, and a candidate whose next smaller
+        twin is unplaced is skipped.  The swaps within the classes
+        permute the spines freely and each orbit holds exactly one
+        twin-ordered spine, so the full count is the number kept times
+        the product of ``|class|!``.
 
         Reversal break: reversing a spine keeps every page valid and the
         page width the same, so for n >= 2 the lex-first valid spine has
@@ -176,6 +184,12 @@ class _Search:
         below ``spine[0]`` can only end below it and is cut.  Each valid
         layout with ``spine[0] > spine[-1]`` is the reversal of exactly one
         that is kept, so the full count is twice the number kept.
+
+        Each break cuts only spines that are not lex-first, so a search for
+        the witness uses both.  Reversal does not act freely on the
+        twin-ordered spines (for the path ``a-x-b``, reversing
+        ``(a, x, b)`` and sorting the twins ``a, b`` gives it back), so a
+        count with twins uses the twin break alone.
         """
         i = len(self.spine)
         if i == self.n:
@@ -183,53 +197,68 @@ class _Search:
                 self.count += 1
                 return False
             return True
+        pos, twin_prev = self.pos, self.twin_prev
         above_before = self.above
         for rank, v in enumerate(self.verts):
-            if v in self.pos:
+            if v in pos:
                 continue
+            if twin_prev and v in twin_prev and twin_prev[v] not in pos:
+                continue  # twin break
             if i == 0:
                 above = self.n - 1 - rank
             elif v > self.spine[0]:
                 above = above_before - 1
             else:
                 above = above_before
-            if above == 0 and i + 1 < self.n:
+            if above == 0 and i + 1 < self.n and self.reverse:
                 continue  # reversal break
             self.above = above
             self.spine.append(v)
-            self.pos[v] = i
+            pos[v] = i
             new_edges = []
             lo = i
             for u in self.g.adjacency[v]:
                 self.unplaced_deg[u] -= 1
-                if u in self.pos:
+                if u in pos:
                     new_edges.append(edge(v, u))
-                    lo = min(lo, self.pos[u])
+                    lo = min(lo, pos[u])
             new_edges.sort()
-            if self._assign(new_edges, 0, lo, count_all):
+            if (self.q is None or self._cut_ok()) and self._assign(
+                new_edges, 0, lo, count_all
+            ):
                 return True
             for u in self.g.adjacency[v]:
                 self.unplaced_deg[u] += 1
             self.spine.pop()
-            del self.pos[v]
+            del pos[v]
         self.above = above_before
         return False
 
     def _assign(self, new_edges: list[Edge], idx: int, lo: int, count_all: bool) -> bool:
+        """Page the new edges from ``idx`` on in page order, then extend.
+
+        With a width bound, a page is skipped for an edge when some gap
+        the edge spans already holds ``q`` of that page's edges: counts
+        only grow as more edges get pages.
+        """
         if idx == len(new_edges):
             if new_edges and not self._forward_ok(lo):
-                return False
-            if not self._width_ok():
                 return False
             return self._extend(count_all)
         e = new_edges[idx]
         a, b = self.pos[e[0]], self.pos[e[1]]
         if a > b:
             a, b = b, a
+        gaps, q = self.gaps, self.q
         for p in range(1, self.pages + 1):
             if self._conflicts(a, b, p):
                 continue
-            self.assigned[e] = p
+            if gaps is not None:
+                span = gaps[p]
+                if max(span[a:b]) >= q:
+                    continue
+                for j in range(a, b):
+                    span[j] += 1
             self.by_page[p].append((a, b))
             if self.stack_kind:
                 row = self.cover[p]
@@ -240,13 +269,15 @@ class _Search:
                 ml.append(max(ml[-1], a))
             if self._assign(new_edges, idx + 1, lo, count_all):
                 return True
-            del self.assigned[e]
             self.by_page[p].pop()
             if self.stack_kind:
                 for j in range(a + 1, b):
                     row[j] -= 1
             else:
                 ml.pop()
+            if gaps is not None:
+                for j in range(a, b):
+                    span[j] -= 1
         return False
 
 
@@ -313,5 +344,4 @@ def solve_exhaustive_all(query: OracleQuery, guard: int = DEFAULT_GUARD) -> int:
         return 1
     result = _Search(query).run(count_all=True)
     assert isinstance(result, int)
-    # the reversal break kept one layout of each reversed pair
-    return 2 * result if query.graph.n >= 2 else result
+    return result

@@ -102,10 +102,11 @@ def naive_vertex_integrity(g):
     return max(best, 1)
 
 
-def naive_twins(g, separator, comp_a, comp_b):
-    """Exhaustive search for an attachment-preserving isomorphism comp_a -> comp_b."""
+def naive_first_twin_map(g, separator, comp_a, comp_b):
+    """First attachment-preserving isomorphism comp_a -> comp_b in
+    ``itertools.permutations(comp_b)`` order, or None."""
     if len(comp_a) != len(comp_b):
-        return False
+        return None
     sep = set(separator)
     for perm in itertools.permutations(comp_b):
         m = dict(zip(comp_a, perm))
@@ -124,8 +125,13 @@ def naive_twins(g, separator, comp_a, comp_b):
             if not ok:
                 break
         if ok:
-            return True
-    return False
+            return m
+    return None
+
+
+def naive_twins(g, separator, comp_a, comp_b):
+    """Exhaustive search for an attachment-preserving isomorphism comp_a -> comp_b."""
+    return naive_first_twin_map(g, separator, comp_a, comp_b) is not None
 
 
 def random_connected_graph(rng: random.Random, n: int, extra_edges: int) -> Graph:

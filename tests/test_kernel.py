@@ -9,6 +9,7 @@ from linlay.generators import twin_gadget
 from linlay.graphs import Graph
 from linlay.kernel import (
     GuidingError,
+    ViDecomposition,
     build_reduced_graph,
     compute_vertex_integrity,
     find_guiding_sublayout,
@@ -22,6 +23,7 @@ from linlay.runner import SolveRequest, run
 
 from naive import (
     cycle_of,
+    naive_first_twin_map,
     naive_twins,
     naive_vertex_integrity,
     path_of,
@@ -107,6 +109,28 @@ def test_twin_partition_matches_pairwise_bruteforce():
                 for u in member:
                     for s in dec.separator:
                         assert g.has_edge(u, s) == g.has_edge(iso[u], s)
+
+
+def test_twin_partition_isos_are_first_permutation_maps():
+    """Each recorded isomorphism is the first one in permutation order,
+    also when a component has automorphisms that fix its attachments."""
+    rng = random.Random(17)
+    seps = ["s0", "s1"]
+    for _ in range(40):
+        shape = random_connected_graph(rng, rng.randint(2, 6), rng.randint(0, 3))
+        attach = [(v, s) for v in shape.vertices for s in seps if rng.random() < 0.3]
+        edges, comps = [], []
+        for c in range(3):
+            names = [f"c{c}_{i}" for i in range(shape.n)]
+            rng.shuffle(names)
+            rename = dict(zip(shape.vertices, names))
+            edges += [(rename[u], rename[w]) for u, w in shape.edges]
+            edges += [(rename[v], s) for v, s in attach]
+            comps.append(tuple(sorted(names)))
+        g = Graph.build(seps + [v for comp in comps for v in comp], edges)
+        (cls,) = twin_partition(g, ViDecomposition(tuple(seps), tuple(comps), 0))
+        for member, iso in zip(cls.members, cls.isos):
+            assert iso == naive_first_twin_map(g, seps, member, cls.representative)
 
 
 def test_twin_relation_is_equivalence():

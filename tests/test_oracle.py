@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from linlay.generators import twin_gadget
 from linlay.graphs import Graph
 from linlay.layouts import LayoutKind, LinearLayout, page_width, validate_layout
 from linlay.oracle import (
@@ -14,11 +15,14 @@ from linlay.oracle import (
 )
 
 from naive import (
+    all_layouts,
     complete_of,
     cycle_of,
     naive_count_layouts,
+    naive_is_valid,
     naive_layout_exists,
     naive_lex_first_layout,
+    naive_page_width,
     path_of,
     random_connected_graph,
     random_graph,
@@ -94,6 +98,50 @@ def test_witness_and_count_match_naive_enumeration():
                         assert solve_exhaustive(query) == expected, case
                         count = naive_count_layouts(g, kind, pages, width)
                         assert solve_exhaustive_all(query) == count, case
+
+
+def test_twin_heavy_witness_and_count_match_naive_enumeration():
+    """The twin break keeps the lex-first witness and the exact count on
+    graphs whose vertices are mostly twins; each width shares one full
+    enumeration per kind and page count."""
+    graphs = [
+        star_of("c", ["x", "y", "z"]),
+        star_of("s", ["a", "b", "c", "d"]),
+        complete_of("a", "b"),
+        complete_of("a", "b", "c"),
+        complete_of("a", "b", "c", "d"),
+        Graph.from_edges([(a, b) for a in "ab" for b in "xyz"]),
+        twin_gadget(2, 1, 3),
+        twin_gadget(3, 1, 2),
+        twin_gadget(4, 1, 1),
+        Graph.from_edges([("a", "b"), ("c", "d"), ("e", "f")]),
+        Graph.build("abcde", [("b", "d")]),
+        Graph.build("abcd", []),
+        path_of("a", "x", "b"),
+    ]
+    for g in graphs:
+        assert g.twin_classes()
+        for kind in LayoutKind:
+            for pages in (1, 2):
+                valid = [
+                    (layout, naive_page_width(layout))
+                    for layout in all_layouts(g, kind, pages)
+                    if naive_is_valid(g, layout)
+                ]
+                for width in (None, 0, 1):
+                    fits = [lay for lay, w in valid if width is None or w <= width]
+                    query = OracleQuery(g, kind, pages, width)
+                    case = (g.edges, g.n, kind, pages, width)
+                    assert solve_exhaustive(query) == (fits[0] if fits else None), case
+                    assert solve_exhaustive_all(query) == len(fits), case
+
+
+def test_twin_count_is_not_doubled():
+    # a and b are twins; every spine of a-x-b is valid on one stack page.
+    # The twin break keeps (a,b,x), (a,x,b), (x,a,b): 3 * 2! = 6.  Adding the
+    # reversal break would drop (x,a,b) and doubling would give 8.
+    g = path_of("a", "x", "b")
+    assert solve_exhaustive_all(OracleQuery(g, LayoutKind.STACK, 1)) == 6
 
 
 def test_guard_is_distinct_from_infeasibility():

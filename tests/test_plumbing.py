@@ -20,6 +20,8 @@ from linlay.layouts import LayoutKind, LinearLayout
 from linlay.oracle import OracleQuery, solve_exhaustive
 from linlay.svg import render_svg
 
+from naive import complete_of, path_of, star_of
+
 
 def test_parse_k2():
     g = parse_graph("2 1\na b\n")
@@ -110,6 +112,27 @@ def test_twin_gadget_members_are_twins():
         classes = twin_partition(g, dec)
         assert len(classes) == 1
         assert len(classes[0].members) == 10
+
+
+def test_twin_classes_open_closed_and_disjoint():
+    # open twins share N(v): the leaves of a star, the sides of K_{2,3}
+    assert star_of("c", ["x", "y", "z"]).twin_classes() == (("x", "y", "z"),)
+    k23 = Graph.from_edges([(a, b) for a in "ab" for b in "xyz"])
+    assert k23.twin_classes() == (("a", "b"), ("x", "y", "z"))
+    # closed twins share N[v]: the whole of K_4
+    assert complete_of("a", "b", "c", "d").twin_classes() == (("a", "b", "c", "d"),)
+    # the 2-vertex edge is one closed class, the 2-vertex non-edge one open class
+    assert Graph.from_edges([("a", "b")]).twin_classes() == (("a", "b"),)
+    assert Graph.build(["a", "b"], []).twin_classes() == (("a", "b"),)
+    # singletons are left out: a path on four vertices has no twins
+    assert path_of("a", "b", "c", "d").twin_classes() == ()
+    assert Graph.build(["a"], []).twin_classes() == ()
+    # a triangle with a pendant: {a, b} closed twins, isolated {y, z} open twins
+    g = Graph.build("abcxyz", [("a", "b"), ("a", "c"), ("b", "c"), ("c", "x")])
+    assert g.twin_classes() == (("a", "b"), ("y", "z"))
+    for h in (g, k23, twin_gadget(2, 1, 3), twin_gadget(3, 2, 2)):
+        members = [v for c in h.twin_classes() for v in c]
+        assert len(members) == len(set(members))
 
 
 def test_svg_k2():
