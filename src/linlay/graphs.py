@@ -131,15 +131,6 @@ class Graph:
             raise GraphError(f"unknown vertices {sorted(unknown)!r}")
         return Graph.build(keep, [e for e in self.edges if e[0] in keep and e[1] in keep])
 
-    def without_vertices(self, vs: Iterable[str]) -> "Graph":
-        drop = set(vs)
-        return self.induced(v for v in self.vertices if v not in drop)
-
-    def subgraph_of_edges(self, edges: Iterable[Edge]) -> "Graph":
-        """The graph (V(F), F) spanned by an edge subset."""
-        es = list(edges)
-        return Graph.build({v for e in es for v in e}, es)
-
     def iter_bfs(self, start: str) -> Iterator[str]:
         """Breadth-first vertex order from ``start``, neighbors in canonical order."""
         seen = {start}

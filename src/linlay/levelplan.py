@@ -7,6 +7,19 @@ are forced up to permuting vertices whose neighborhoods below coincide in a
 single position and inserting vertices with no neighbor below.  Components
 are handled independently and drawn side by side.
 
+Before that search starts, the tester decides the ordering-parity system
+of the instance (Randerath et al. 2001, "A satisfiability formulation of
+problems on level graphs"; Brückner, Rutter and Stumpf 2018, "Level
+planarity: transitivity vs. even crossings").  Each same-level pair
+{u, v} has one boolean "u is left of v"; two edges between the same two
+levels with distinct lower ends a, c and distinct upper ends b, d cannot
+cross iff x(a, c) = x(b, d); each precedence pair the caller asks for
+sets one variable.  Union-find with parity decides the system in time
+near-linear in its size, and a contradiction rejects the instance before
+any order is enumerated.  Without precedence pairs the system is satisfiable exactly
+when the instance is level planar (both papers); with them it is only a
+necessary condition, so the search still decides.
+
 Correctness is the contract here, not the linear running time of the
 published level-planarity algorithms; instances in this package arrive
 small and pre-filtered.  The returned embedding is certified by an
@@ -17,11 +30,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Iterable, Iterator
 
 from .graphs import Graph
 
-LevelFilter = Callable[[int, tuple[str, ...]], bool]
+Precedence = tuple[str, str]  # (p, q): p lies left of q on their common level
 
 
 class ImproperEdgeError(ValueError):
@@ -153,10 +166,82 @@ def _insert_everywhere(base: list[str], free: list[str]) -> Iterator[tuple[str, 
             yield tuple(out)
 
 
+class _ParityUnionFind:
+    """Union-find over boolean variables, each node storing the parity
+    (xor) of its value against its parent's; roots have no entry."""
+
+    def __init__(self) -> None:
+        self.parent: dict[object, object] = {}
+        self.parity: dict[object, int] = {}
+
+    def find(self, x: object) -> tuple[object, int]:
+        path = []
+        parity = 0
+        while x in self.parent:
+            path.append(x)
+            parity ^= self.parity[x]
+            x = self.parent[x]
+        rest = parity
+        for y in path:  # compress: point every node on the path at the root
+            own = self.parity[y]
+            self.parent[y] = x
+            self.parity[y] = rest
+            rest ^= own
+        return x, parity
+
+    def join(self, x: object, y: object, odd: int) -> bool:
+        """Impose value(x) xor value(y) = odd; False on contradiction."""
+        rx, px = self.find(x)
+        ry, py = self.find(y)
+        if rx == ry:
+            return px ^ py == odd
+        self.parent[rx] = ry
+        self.parity[rx] = px ^ py ^ odd
+        return True
+
+
+_FALSE = None  # anchor node of the parity system, the constant 0
+
+
+def _parity_consistent(lg: LeveledGraph, before: Iterable[Precedence]) -> bool:
+    """Whether the ordering-parity system of ``lg`` with units ``before``
+    has a solution.
+
+    The variable of a same-level pair u < v is "u is left of v"; the
+    literal x(a, c) of the reversed pair is its negation.  Any
+    crossing-free drawing that places p left of q for every pair (p, q)
+    in ``before`` satisfies every equation and unit, so a contradiction
+    proves that no such drawing exists.
+    """
+    lv = lg.levels.levels
+    uf = _ParityUnionFind()
+    for p, q in before:
+        if not uf.join((min(p, q), max(p, q)), _FALSE, int(p < q)):
+            return False
+    spans: dict[int, list[tuple[str, str]]] = {}
+    for u, v in lg.graph.edges:
+        if lv[u] > lv[v]:
+            u, v = v, u
+        spans.setdefault(lv[u], []).append((u, v))
+    for pairs in spans.values():
+        for (a, b), (c, d) in itertools.combinations(pairs, 2):
+            if a != c and b != d:
+                ac = (a, c) if a < c else (c, a)
+                bd = (b, d) if b < d else (d, b)
+                if not uf.join(ac, bd, (a < c) ^ (b < d)):
+                    return False
+    return True
+
+
+def _honours(row: tuple[str, ...], pairs: list[Precedence]) -> bool:
+    pos = {v: i for i, v in enumerate(row)}
+    return all(pos[p] < pos[q] for p, q in pairs)
+
+
 def _solve_component(
     lg: LeveledGraph,
     comp: tuple[str, ...],
-    level_filter: LevelFilter | None,
+    before_by_level: dict[int, list[Precedence]],
 ) -> dict[int, tuple[str, ...]] | None:
     lv = lg.levels.levels
     levels = sorted({lv[v] for v in comp})
@@ -181,8 +266,9 @@ def _solve_component(
             prev = chosen[levels[idx - 1]]
             below_pos = {v: i for i, v in enumerate(prev)}
             candidates = _candidate_orders(by_level[level], below, below_pos)
+        pairs = before_by_level.get(level)
         for cand in candidates:
-            if level_filter is not None and not level_filter(level, tuple(cand)):
+            if pairs and not _honours(cand, pairs):
                 continue
             chosen[level] = tuple(cand)
             if extend(idx + 1):
@@ -194,19 +280,40 @@ def _solve_component(
 
 
 def find_level_embedding(
-    lg: LeveledGraph, level_filter: LevelFilter | None = None
+    lg: LeveledGraph, before: Iterable[Precedence] = ()
 ) -> LevelEmbedding | None:
     """A crossing-free proper-level drawing as per-level orders, or None.
 
-    ``level_filter`` restricts the search to drawings whose per-level
-    orders the caller accepts; it must be a property of one level's order
-    alone.  Filters are meaningful for connected inputs (with several
-    components a level's final order concatenates the components').
+    Every pair (p, q) in ``before`` names two vertices of one level, and
+    the drawing must place p left of q.  Pairs need a connected instance
+    (ValueError once the search starts on a disconnected one): with
+    several components a level's final order concatenates the components'
+    rows, which no per-component search can order.
+
+    The ordering-parity system is decided first.  It is sound as a
+    rejection: a crossing-free drawing that honours ``before`` makes every
+    equation true (its edges do not cross) and every unit true (it honours
+    the pair), so an unsatisfiable system leaves nothing for the search
+    to find.  When the system is satisfiable, the backtracking search
+    decides, in its usual candidate order, so the drawing returned is the
+    one it would have found without the check.
     """
     lg.check_proper()
+    before = list(before)
+    lv = lg.levels.levels
+    before_by_level: dict[int, list[Precedence]] = {}
+    for p, q in before:
+        if p == q or p not in lv or lv[p] != lv.get(q):
+            raise LevelError(f"precedence pair {p!r}, {q!r} is not on one level")
+        before_by_level.setdefault(lv[p], []).append((p, q))
+    if not _parity_consistent(lg, before):
+        return None
+    comps = lg.graph.components()
+    if before and len(comps) > 1:
+        raise ValueError("precedence pairs need a connected instance")
     merged: dict[int, list[str]] = {i: [] for i in range(1, lg.levels.h + 1)}
-    for comp in lg.graph.components():
-        part = _solve_component(lg, comp, level_filter)
+    for comp in comps:
+        part = _solve_component(lg, comp, before_by_level)
         if part is None:
             return None
         for i, vs in part.items():

@@ -12,7 +12,9 @@ The solver branches over the 4^m labelings per connected component in a
 fixed order (per edge: forward-ordinary, backward-ordinary,
 forward-arching, backward-arching) and returns the first branch that
 succeeds, pruning labeling prefixes whose level constraints are already
-contradictory.
+contradictory.  Each complete labeling hands its arch side conditions to
+the level-planarity tester as same-level precedence pairs, which its
+ordering-parity check uses to reject most branches without a search.
 """
 
 from __future__ import annotations
@@ -25,7 +27,13 @@ from typing import Iterator
 from .bounds import edge_count_bound
 from .graphs import Edge, Graph, edge
 from .layouts import LayoutKind, LinearLayout, validate_layout
-from .levelplan import LevelAssignment, LeveledGraph, LevelEmbedding, find_level_embedding
+from .levelplan import (
+    LevelAssignment,
+    LeveledGraph,
+    LevelEmbedding,
+    Precedence,
+    find_level_embedding,
+)
 
 DEFAULT_EDGE_GUARD = 26
 
@@ -184,51 +192,41 @@ def reduce_to_level_planarity(
     return LeveledGraph(derived, LevelAssignment.build(out_levels))
 
 
-def branch_side_filter(g: Graph, lab: Labeling, levels: LevelAssignment):
-    """Per-level predicate pinning the arch side conditions during the search.
+def branch_side_filter(g: Graph, lab: Labeling, levels: LevelAssignment) -> list[Precedence]:
+    """Same-level precedence pairs pinning the arch side conditions.
 
     Level planarity of the framed instance alone does not force arch
     targets to stay inside the frame: a target hangs on the right chain by
     a single edge, so a drawing may park it (and its subtree) outside,
     violating the at-or-right-of-the-upward-vertices rule.  The conditions
-    are properties of one level's order, so they prune the embedding
-    search directly; a drawing satisfying them always exists when some
-    arched embedding induces this labeling.  Returns None when nothing
-    arches.
+    are properties of one level's order, and a drawing satisfying them
+    always exists when some arched embedding induces this labeling.  As
+    pairs (p, q), "p left of q", they are:
+
+    * the left frame vertex before the right one on level 2, which fixes
+      the drawing's reflection;
+    * on each arch level, the arch source before every other original
+      vertex of the level;
+    * on each arch level, every vertex with a neighbor one level up
+      before every arch target other than itself.
+
+    A row honours all pairs of its level exactly when it meets the
+    conditions.  Empty when nothing arches.
     """
     lv = levels.levels
     arch_by_level: dict[int, tuple[str, set[str]]] = {}
     for (u, v), tag in lab.items():
         if tag is ArcTag.ARCHING:
-            i = lv[u]
-            source, targets = arch_by_level.setdefault(i, (u, set()))
-            targets.add(v)
+            arch_by_level.setdefault(lv[u], (u, set()))[1].add(v)
     if not arch_by_level:
-        return None
-    uppers_by_level = {
-        i: {w for w in g.vertices if lv[w] == i and any(lv[x] == i + 1 for x in g.adjacency[w])}
-        for i in arch_by_level
-    }
-
-    def accept(level: int, row: tuple[str, ...]) -> bool:
-        if level == 2:
-            return row.index("f:l:0") < row.index("f:r:0")
-        if level % 2 == 1 and (level - 1) // 2 in arch_by_level:
-            i = (level - 1) // 2
-            origs = [v[2:] for v in row if v.startswith("g:")]
-            source, targets = arch_by_level[i]
-            if not origs or origs[0] != source:
-                return False
-            uppers = uppers_by_level[i]
-            last_upper = -1
-            for j, w in enumerate(origs):
-                if w in uppers:
-                    last_upper = j
-            pos = {w: j for j, w in enumerate(origs)}
-            return all(pos[t] >= last_upper for t in targets)
-        return True
-
-    return accept
+        return []
+    pairs = [("f:l:0", "f:r:0")]
+    for i, (source, targets) in sorted(arch_by_level.items()):
+        row = [w for w in g.vertices if lv[w] == i]
+        pairs.extend((_orig(source), _orig(w)) for w in row if w != source)
+        uppers = [w for w in row if any(lv[x] == i + 1 for x in g.adjacency[w])]
+        pairs.extend((_orig(w), _orig(t)) for t in sorted(targets) for w in uppers if w != t)
+    return pairs
 
 
 def branch_accepts(g: Graph, lab: Labeling, levels: LevelAssignment) -> bool:
@@ -237,7 +235,7 @@ def branch_accepts(g: Graph, lab: Labeling, levels: LevelAssignment) -> bool:
     derived = reduce_to_level_planarity(g, lab, levels)
     if derived is None:
         return False
-    return find_level_embedding(derived, branch_side_filter(g, lab, levels)) is not None
+    return find_level_embedding(derived, before=branch_side_filter(g, lab, levels)) is not None
 
 
 def _per_level_orig_orders(
@@ -374,7 +372,7 @@ def _solve_component(g: Graph) -> BranchResult:
         derived = reduce_to_level_planarity(g, lab, levels)
         if derived is None:
             return None
-        emb = find_level_embedding(derived, branch_side_filter(g, lab, levels))
+        emb = find_level_embedding(derived, before=branch_side_filter(g, lab, levels))
         if emb is None:
             return None
         layout = embedding_to_queue_layout(g, lab, levels, emb)

@@ -88,6 +88,11 @@ def naive_count_layouts(g, kind, pages, max_width=None):
     return count
 
 
+def without_vertices(g, vs):
+    drop = set(vs)
+    return g.induced(v for v in g.vertices if v not in drop)
+
+
 def naive_vertex_integrity(g):
     """min over all separators of |S| + size of the largest remaining component."""
     verts = list(g.vertices)
@@ -96,7 +101,7 @@ def naive_vertex_integrity(g):
         if r >= best:
             break
         for sep in itertools.combinations(verts, r):
-            rest = g.without_vertices(sep)
+            rest = without_vertices(g, sep)
             worst = max((len(c) for c in rest.components()), default=0)
             best = min(best, r + worst if rest.n else r)
     return max(best, 1)

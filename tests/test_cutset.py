@@ -345,7 +345,8 @@ def _mini_layout_is_valid(g, s, kind, pages, width):
 
     if s.is_sentinel:
         return True
-    sub = g.subgraph_of_edges(s.cut.edges)
+    # the graph (V(F), F) spanned by the cut's edges
+    sub = Graph.build({v for e in s.cut.edges for v in e}, s.cut.edges)
     lay = LinearLayout(kind, pages, s.cut.order, dict(zip(s.cut.edges, s.page_of)))
     return validate_layout(sub, lay).ok and pw(lay) <= width
 

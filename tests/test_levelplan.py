@@ -11,6 +11,7 @@ from linlay.levelplan import (
     LevelAssignment,
     LevelError,
     LeveledGraph,
+    _parity_consistent,
     find_level_embedding,
 )
 
@@ -20,12 +21,16 @@ def leveled(edges, levels, isolated=()):
     return LeveledGraph(g, LevelAssignment.build(levels))
 
 
-def naive_level_planar(lg) -> bool:
+def naive_level_planar(lg, before=()) -> bool:
+    """Whether some crossing-free drawing places p left of q for every
+    pair (p, q) in ``before``, by trying every tuple of per-level orders."""
     lv = lg.levels.levels
     h = lg.levels.h
     rows = [sorted(v for v in lg.graph.vertices if lv[v] == i) for i in range(1, h + 1)]
     for orders in itertools.product(*(itertools.permutations(r) for r in rows)):
         pos = {v: i for row in orders for i, v in enumerate(row)}
+        if not all(pos[p] < pos[q] for p, q in before):
+            continue
         ok = True
         for (a, b), (c, d) in itertools.combinations(lg.graph.edges, 2):
             la, lb = sorted((lv[a], lv[b]))
@@ -97,26 +102,80 @@ def test_disconnected_components_drawn_side_by_side():
         assert len(row) == len(set(row))
 
 
+def random_leveled(rng, max_n=7, max_edges=7):
+    n = rng.randint(2, max_n)
+    h = rng.randint(1, min(4, n))
+    names = [f"v{i}" for i in range(n)]
+    # contiguous levels: seed one vertex per level, others random
+    levels = {names[i]: i + 1 for i in range(h)}
+    for v in names[h:]:
+        levels[v] = rng.randint(1, h)
+    candidates = [
+        (u, v)
+        for u, v in itertools.combinations(names, 2)
+        if abs(levels[u] - levels[v]) == 1
+    ]
+    rng.shuffle(candidates)
+    edges = candidates[: rng.randint(0, min(max_edges, len(candidates)))]
+    return leveled(edges, levels, isolated=names)
+
+
 def test_matches_naive_on_random_leveled_graphs():
     rng = random.Random(31)
     checked = 0
     for _ in range(60):
-        n = rng.randint(2, 7)
-        h = rng.randint(1, min(4, n))
-        names = [f"v{i}" for i in range(n)]
-        # contiguous levels: seed one vertex per level, others random
-        levels = {names[i]: i + 1 for i in range(h)}
-        for v in names[h:]:
-            levels[v] = rng.randint(1, h)
-        candidates = [
-            (u, v)
-            for u, v in itertools.combinations(names, 2)
-            if abs(levels[u] - levels[v]) == 1
-        ]
-        rng.shuffle(candidates)
-        edges = candidates[: rng.randint(0, min(7, len(candidates)))]
-        lg = leveled(edges, levels, isolated=names)
+        lg = random_leveled(rng)
         got = find_level_embedding(lg) is not None
-        assert got == naive_level_planar(lg), (edges, levels)
+        assert got == naive_level_planar(lg), (lg.graph.edges, lg.levels.levels)
         checked += 1
     assert checked == 60
+
+
+def test_parity_system_decides_level_planarity_without_pairs():
+    # necessary for any proper-leveled graph; sufficient by the theorem of
+    # Randerath et al. (transitivity of the order is implied)
+    rng = random.Random(37)
+    seen = set()
+    for _ in range(1000):
+        lg = random_leveled(rng, max_n=8, max_edges=16)
+        planar = naive_level_planar(lg)
+        assert _parity_consistent(lg, ()) == planar, (lg.graph.edges, lg.levels.levels)
+        seen.add(planar)
+    assert seen == {True, False}
+
+
+def test_parity_system_admits_every_drawing_that_honours_the_pairs():
+    rng = random.Random(41)
+    outcomes = set()
+    searched = 0
+    for _ in range(600):
+        lg = random_leveled(rng, max_edges=10)
+        lv = lg.levels.levels
+        same_level = [
+            (u, v) for u, v in itertools.permutations(lg.graph.vertices, 2) if lv[u] == lv[v]
+        ]
+        before = rng.sample(same_level, min(len(same_level), rng.randint(1, 3)))
+        honoured = naive_level_planar(lg, before)
+        if honoured:
+            assert _parity_consistent(lg, before), (lg.graph.edges, lv, before)
+        outcomes.add((honoured, _parity_consistent(lg, before)))
+        if lg.graph.is_connected():
+            emb = find_level_embedding(lg, before=before)
+            assert (emb is not None) == honoured, (lg.graph.edges, lv, before)
+            if emb is not None:
+                pos = {v: i for row in emb.orders.values() for i, v in enumerate(row)}
+                assert all(pos[p] < pos[q] for p, q in before)
+            searched += 1
+    assert outcomes >= {(True, True), (False, False)}
+    assert searched > 0
+
+
+def test_precedence_pairs_are_checked():
+    lg = leveled([("a", "b"), ("x", "y")], {"a": 1, "b": 2, "x": 1, "y": 2})
+    with pytest.raises(LevelError):
+        find_level_embedding(lg, before=[("a", "b")])
+    with pytest.raises(ValueError):
+        find_level_embedding(lg, before=[("a", "x")])
+    path = leveled([("a", "b"), ("b", "c")], {"a": 1, "c": 1, "b": 2})
+    assert find_level_embedding(path, before=[("c", "a")]).orders[1] == ("c", "a")
+    assert find_level_embedding(path, before=[("c", "a"), ("a", "c")]) is None

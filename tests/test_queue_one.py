@@ -5,6 +5,7 @@ import random
 import pytest
 
 from linlay.graphs import Graph
+from linlay import levelplan
 from linlay.layouts import LayoutKind, validate_layout
 from linlay.levelplan import find_level_embedding
 from linlay.oracle import OracleQuery, solve_exhaustive
@@ -12,6 +13,7 @@ from linlay.queue_one import (
     ArcTag,
     BranchGuardError,
     branch_accepts,
+    branch_side_filter,
     Labeling,
     embedding_to_queue_layout,
     enumerate_labelings,
@@ -21,7 +23,7 @@ from linlay.queue_one import (
     solve_queue_one_page_report,
 )
 
-from arched_reference import arched_embedding_exists
+from arched_reference import arched_embedding_exists, side_conditions_accept
 from naive import cycle_of, path_of, random_connected_graph, star_of
 
 
@@ -220,6 +222,51 @@ def test_branch_answer_matches_arched_checker_per_labeling():
             assert branch_accepts(g, lab, levels) == arched_embedding_exists(
                 g, lab, levels
             ), (g.edges, lab)
+
+
+def test_side_pairs_accept_exactly_the_rows_the_side_conditions_accept(monkeypatch):
+    # every row the backtracker draws from _candidate_orders, on every
+    # branch of criterion-6-sized graphs; the parity check is bypassed so
+    # that the rows of rejected branches are checked too
+    rng = random.Random(61)
+    graphs = []
+    while len(graphs) < 12:
+        n = rng.randint(3, 6)
+        extra = rng.randint(0, min(2, n * (n - 1) // 2 - (n - 1)))
+        graphs.append(random_connected_graph(rng, n, extra))
+    candidate_orders = levelplan._candidate_orders
+    branch = {}
+    verdicts = {True: 0, False: 0}
+
+    def checked_orders(vertices, below_neighbors, below_pos):
+        g, lab, levels, derived_levels, pairs = (
+            branch[k] for k in ("g", "lab", "levels", "derived_levels", "pairs")
+        )
+        for row in candidate_orders(vertices, below_neighbors, below_pos):
+            level = derived_levels[row[0]]
+            own = [(p, q) for p, q in pairs if derived_levels[p] == level]
+            accepted = levelplan._honours(row, own)
+            assert accepted == side_conditions_accept(g, lab, levels, level, row), (
+                g.edges, lab, level, row,
+            )
+            verdicts[accepted] += 1
+            yield row
+
+    monkeypatch.setattr(levelplan, "_candidate_orders", checked_orders)
+    monkeypatch.setattr(levelplan, "_parity_consistent", lambda lg, before: True)
+    for g in graphs:
+        for lab in enumerate_labelings(g):
+            levels = level_assignment_from_labeling(g, lab)
+            if levels is None:
+                continue
+            derived = reduce_to_level_planarity(g, lab, levels)
+            if derived is None:
+                continue
+            pairs = branch_side_filter(g, lab, levels)
+            branch.update(g=g, lab=lab, levels=levels,
+                          derived_levels=derived.levels.levels, pairs=pairs)
+            find_level_embedding(derived, before=pairs)
+    assert verdicts[True] > 0 and verdicts[False] > 0
 
 
 def test_unconstrained_drawing_can_overshoot_side_conditions():

@@ -7,7 +7,7 @@ import pytest
 
 from linlay.cli import main
 from linlay.fileformats import layout_from_json, serialize_graph
-from linlay.generators import complete_graph, cycle_graph, twin_gadget
+from linlay.generators import complete_graph, cycle_graph, random_gnm, twin_gadget
 from linlay.graphs import Graph
 from linlay.layouts import LayoutKind, validate_layout
 from linlay.runner import RequestError, SolveRequest, run
@@ -278,6 +278,24 @@ def test_cli_kernel_lifted_witness_golden(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["counters"]["lifted"] == 1
     golden = Path(__file__).parent / "data" / "kernel_lift_tg_1_1_8_stack_1p_t5.json"
     assert out.read_bytes() == golden.read_bytes()
+
+
+def test_queue1_witnesses_golden(tmp_path):
+    """Pins the spine, the branch count and the ``--dump-branch`` bytes of
+    four queue1 finds: the order of labeling branches and of candidate
+    level orders decides all three."""
+    golden = json.loads((Path(__file__).parent / "data" / "queue1_witnesses.json").read_text())
+    assert [case["graph"] for case in golden] == [
+        [9, 12, 30], [8, 11, 6], [9, 12, 37], [8, 10, 23],
+    ]
+    for case in golden:
+        dump = tmp_path / "branch.json"
+        report = run(SolveRequest(random_gnm(*case["graph"]), "queue1", LayoutKind.QUEUE, 1,
+                                  dump_branch=str(dump)))
+        assert report.verdict == "found"
+        assert list(report.layout.spine) == case["spine"]
+        assert report.counters["branches"] == case["branches_tried"]
+        assert dump.read_text() == json.dumps(case["dump_branch"], indent=2, sort_keys=True) + "\n"
 
 
 def test_cli_bench_csv(tmp_path, capsys):
