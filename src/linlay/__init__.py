@@ -1,6 +1,6 @@
 """Exact solvers for stack and queue layouts of undirected graphs."""
 
-from .bounds import edge_count_bound, page_upper_bound
+from .bounds import edge_count_bound
 from .cutset import (
     OrientedCutSet,
     StateNode,

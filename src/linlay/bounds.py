@@ -1,4 +1,4 @@
-"""A-priori feasibility bounds: edge-count rejection and page-count caps."""
+"""A-priori feasibility bound: edge-count rejection."""
 
 from __future__ import annotations
 
@@ -25,12 +25,3 @@ def edge_count_bound(g: Graph, kind: LayoutKind, pages: int) -> bool:
         # drops under C(n, 2) even though ceil(n/2) pages always suffice
         return True
     return m <= 2 * pages * n - pages * (2 * pages + 1)
-
-
-def page_upper_bound(g: Graph, kind: LayoutKind, vi: int) -> int:
-    """Sound cap on the pages needed by any layout, from the vertex integrity."""
-    if vi < 1:
-        raise ValueError("vertex integrity is at least 1")
-    if kind is LayoutKind.STACK:
-        return vi + 1
-    return 2**vi + 1

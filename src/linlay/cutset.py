@@ -56,10 +56,6 @@ class OrientedCutSet:
             raise CutSetError("order does not cover every cut-set endpoint")
         return cls(es, restricted)
 
-    @property
-    def endpoints(self) -> frozenset[str]:
-        return frozenset(v for e in self.edges for v in e)
-
     def sources_and_sinks(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
         """Classify endpoints by the order; raises if some endpoint is mixed."""
         pos = {v: i for i, v in enumerate(self.order)}
@@ -291,7 +287,6 @@ def _successors(
     sinks: tuple[str, ...],
     pagevec: tuple[int, ...],
     processed: frozenset[str],
-    canonical_pages: bool = False,
 ) -> Iterator[tuple[tuple, str, frozenset[str]]]:
     """Arcs leaving a state, yielding raw successor frames.
 
@@ -309,6 +304,7 @@ def _successors(
     snk_set = set(sinks)
     stack_kind = ctx.kind is LayoutKind.STACK
     cap = ctx.width * ctx.pages
+    canonical = not cut_edges and not processed
 
     for v in unprocessed:
         if v in endpoint and v != leftmost_sink:
@@ -336,7 +332,7 @@ def _successors(
         for p in retained_pages:
             base_counts[p] = base_counts.get(p, 0) + 1
 
-        page_options = _page_combos(k, ctx.pages, base_counts, ctx.width, canonical_pages)
+        page_options = _page_combos(k, ctx.pages, base_counts, ctx.width, canonical)
         if not page_options:
             continue
         for snk_order in _insert_everywhere(fixed_snks, new_snks):
@@ -540,12 +536,7 @@ def solve_bounded_width_report(
     while stack and not found:
         frame, processed = stack.pop()
         edges, srcs, snks, pagevec = frame
-        succs = list(
-            _successors(
-                ctx, edges, srcs, snks, pagevec, processed,
-                canonical_pages=not edges and not processed,
-            )
-        )
+        succs = list(_successors(ctx, edges, srcs, snks, pagevec, processed))
         ctx.arcs_seen += len(succs)
         # reversed so the canonical-first successor is expanded first
         for nxt, label, nproc in reversed(succs):

@@ -212,23 +212,6 @@ def twin_partition(g: Graph, dec: ViDecomposition) -> tuple[TwinClass, ...]:
 # -- reduced graph --------------------------------------------------------------
 
 
-def kernel_within_default_bound(kernel_size: int, pages: int, p: int) -> bool:
-    """Symbolic check of kernel_size <= (2↑↑(p·2^(2p^2))·2 + 6)^(pages·p).
-
-    The tower height p·2^(2p^2) is at least 4 for p >= 1, so the base
-    exceeds 2^65536 and any desk-scale kernel passes; compare via bit
-    lengths instead of materializing.
-    """
-    height = p * 2 ** (2 * p * p)
-    if height >= 4:
-        # bound > (2^65536)^(pages*p); kernel_size is a machine integer
-        return kernel_size.bit_length() <= 65536 * pages * p
-    tower = 2
-    for _ in range(height - 1):
-        tower = 2**tower
-    return kernel_size <= (2 * tower + 6) ** (pages * p)
-
-
 @dataclass(frozen=True)
 class ReducedGraphCertificate:
     graph: Graph
@@ -307,15 +290,15 @@ def build_reduced_graph(
 class GuidingSublayout:
     """Three groups laid out identically, with the block pattern they share.
 
-    ``template`` is the common order over representative vertices plus the
-    kept core; ``blocks`` partitions the representative vertices into runs,
-    each expanded ascending or descending on lifting.  ``base_layout`` is
-    the kernel layout restricted to core + the three groups.
+    ``y`` is the middle group of the triple, through which lifted pages
+    copy.  ``template`` is the common order over representative vertices
+    plus the kept core; ``blocks`` partitions the representative vertices
+    into runs, each expanded ascending or descending on lifting.
+    ``base_layout`` is the kernel layout restricted to core + the three
+    groups.
     """
 
-    x: int
     y: int
-    z: int
     template: tuple[str, ...]
     blocks: tuple[tuple[tuple[str, ...], str], ...]  # (run of reps, "asc"/"desc")
     base_layout: LinearLayout
@@ -452,7 +435,7 @@ def find_guiding_sublayout(
         i = j + len(expect)
 
     base = _restricted_layout(kernel_layout, upsilon)
-    return GuidingSublayout(x, y, z, template, tuple(blocks), base)
+    return GuidingSublayout(y, template, tuple(blocks), base)
 
 
 # -- lifting -------------------------------------------------------------------

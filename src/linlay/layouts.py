@@ -38,37 +38,11 @@ class LinearLayout:
     def positions(self) -> dict[str, int]:
         return {v: i for i, v in enumerate(self.spine)}
 
-    def relabel_pages(self, mapping: Mapping[int, int]) -> "LinearLayout":
-        return LinearLayout(
-            self.kind,
-            self.page_count,
-            self.spine,
-            {e: mapping[p] for e, p in self.pages.items()},
-        )
-
 
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool
     violations: tuple[tuple[Edge, Edge], ...] = ()
-
-
-@dataclass(frozen=True)
-class Cut:
-    """A vertex bipartition together with the edges that cross it."""
-
-    left: frozenset[str]
-    right: frozenset[str]
-    cut_set: frozenset[Edge]
-
-    @classmethod
-    def of(cls, g: Graph, left: frozenset[str] | set[str]) -> "Cut":
-        left = frozenset(left)
-        right = frozenset(g.vertices) - left
-        crossing = frozenset(
-            e for e in g.edges if (e[0] in left) != (e[1] in left)
-        )
-        return cls(left, right, crossing)
 
 
 def _pair_conflicts(kind: LayoutKind, pos: Mapping[str, int], e: Edge, f: Edge) -> bool:

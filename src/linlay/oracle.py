@@ -290,15 +290,7 @@ def _lex_min_assignment(
     assigned: dict[Edge, int] = {}
 
     def ok_width() -> bool:
-        if q is None:
-            return True
-        per: dict[int, list[int]] = {}
-        for e, p in assigned.items():
-            a, b = sorted((pos[e[0]], pos[e[1]]))
-            row = per.setdefault(p, [0] * len(spine))
-            for i in range(a, b):
-                row[i] += 1
-        return all(c <= q for row in per.values() for c in row)
+        return q is None or page_width(LinearLayout(kind, pages, spine, assigned)) <= q
 
     def rec(idx: int) -> bool:
         if idx == len(edges):

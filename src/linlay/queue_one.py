@@ -8,13 +8,15 @@ derived instance wraps the graph in a frame cycle and attaches each
 arching source to the frame's left side and each arching target to its
 right side, which pins exactly the freedoms the arches need.
 
-The solver branches over the 4^m labelings per connected component in a
-fixed order (per edge: forward-ordinary, backward-ordinary,
-forward-arching, backward-arching) and returns the first branch that
-succeeds, pruning labeling prefixes whose level constraints are already
-contradictory.  Each complete labeling hands its arch side conditions to
-the level-planarity tester as same-level precedence pairs, which its
-ordering-parity check uses to reject most branches without a search.
+The solver takes a connected graph (``linlay.runner`` lays out the
+components of a disconnected one and concatenates them).  It branches over
+the 4^m labelings in a fixed order (per edge: forward-ordinary,
+backward-ordinary, forward-arching, backward-arching) and returns the
+first branch that succeeds, pruning labeling prefixes whose level
+constraints are already contradictory.  Each complete labeling hands its
+arch side conditions to the level-planarity tester as same-level
+precedence pairs, which its ordering-parity check uses to reject most
+branches without a search.
 """
 
 from __future__ import annotations
@@ -350,7 +352,7 @@ class BranchResult:
     labeling: Labeling | None
     levels: LevelAssignment | None
     branches_tried: int
-    bound_rejected: bool = False  # a component failed the edge-count bound
+    bound_rejected: bool = False
 
 
 def _solve_component(g: Graph) -> BranchResult:
@@ -427,39 +429,19 @@ def _solve_component(g: Graph) -> BranchResult:
 def solve_queue_one_page(
     g: Graph, edge_guard: int = DEFAULT_EDGE_GUARD
 ) -> LinearLayout | None:
-    """1-page queue layout, or None; components are laid out independently."""
+    """1-page queue layout of a connected graph, or None."""
     return solve_queue_one_page_report(g, edge_guard).layout
 
 
 def solve_queue_one_page_report(
     g: Graph, edge_guard: int = DEFAULT_EDGE_GUARD
 ) -> BranchResult:
-    spine: list[str] = []
-    tried = 0
-    last: BranchResult | None = None
-    for comp in g.components():
-        sub = g.induced(comp)
-        if not edge_count_bound(sub, LayoutKind.QUEUE, 1):
-            return BranchResult(None, None, None, tried, bound_rejected=True)
-        if sub.m > edge_guard:
-            raise BranchGuardError(
-                f"component has {sub.m} edges, above the guard of {edge_guard}"
-            )
-        if sub.m == 0:
-            spine.extend(sub.vertices)
-            continue
-        result = _solve_component(sub)
-        tried += result.branches_tried
-        if result.layout is None:
-            return BranchResult(None, None, None, tried)
-        spine.extend(result.layout.spine)
-        last = result
-    layout = LinearLayout(LayoutKind.QUEUE, 1, tuple(spine), {e: 1 for e in g.edges})
-    report = validate_layout(g, layout)
-    assert report.ok, f"concatenated component layouts invalid: {report.violations!r}"
-    return BranchResult(
-        layout,
-        last.labeling if last else None,
-        last.levels if last else None,
-        tried,
-    )
+    if not g.is_connected():
+        raise ValueError("solve_queue_one_page expects a connected graph")
+    if not edge_count_bound(g, LayoutKind.QUEUE, 1):
+        return BranchResult(None, None, None, 0, bound_rejected=True)
+    if g.m > edge_guard:
+        raise BranchGuardError(f"component has {g.m} edges, above the guard of {edge_guard}")
+    if g.m == 0:
+        return BranchResult(LinearLayout(LayoutKind.QUEUE, 1, g.vertices, {}), None, None, 0)
+    return _solve_component(g)

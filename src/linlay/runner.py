@@ -6,9 +6,10 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .bounds import edge_count_bound
-from .cutset import solve_bounded_width_report
+from .cutset import CutsetReport, solve_bounded_width_report
 from .fileformats import layout_to_dict
 from .graphs import Graph
 from .kernel import (
@@ -20,7 +21,12 @@ from .kernel import (
 )
 from .layouts import LayoutKind, LinearLayout, page_width, validate_layout
 from .oracle import DEFAULT_GUARD, OracleQuery, OracleSizeError, solve_exhaustive
-from .queue_one import DEFAULT_EDGE_GUARD, BranchGuardError, solve_queue_one_page_report
+from .queue_one import (
+    DEFAULT_EDGE_GUARD,
+    BranchGuardError,
+    BranchResult,
+    solve_queue_one_page_report,
+)
 
 ALGORITHMS = ("oracle", "cutset", "queue1", "kernel")
 
@@ -82,47 +88,71 @@ class RunReport:
         return {"found": 0, "infeasible": 1, "refused": 2}[self.verdict]
 
 
-def _merge_component_layouts(
-    kind: LayoutKind, pages: int, parts: list[LinearLayout]
-) -> LinearLayout:
+def _solve_components(
+    req: SolveRequest, solve: Callable[[Graph], CutsetReport | BranchResult]
+) -> tuple[LinearLayout | None, bool]:
+    """Lay out each component with ``solve`` and concatenate the layouts.
+
+    Stops at the first component with no layout and returns None with
+    whether that component failed the edge-count bound.
+    """
     spine: list[str] = []
     page_map = {}
-    for part in parts:
-        spine.extend(part.spine)
-        page_map.update(part.pages)
-    return LinearLayout(kind, pages, tuple(spine), page_map)
+    for comp in req.graph.components():
+        rep = solve(req.graph.induced(comp))
+        if rep.layout is None:
+            return None, rep.bound_rejected
+        spine.extend(rep.layout.spine)
+        page_map.update(rep.layout.pages)
+    return LinearLayout(req.kind, req.pages, tuple(spine), page_map), False
 
 
 def _solve_cutset(req: SolveRequest) -> tuple[LinearLayout | None, dict[str, int], bool]:
-    g = req.graph
-    width = req.width if req.width is not None else max(g.m, 1)
+    width = req.width if req.width is not None else max(req.graph.m, 1)
     counters = {"states": 0, "arcs": 0}
-    parts = []
     dump_lines: list[str] = []
-    bound_rejected = False
-    for comp in g.components():
-        sub = g.induced(comp)
+
+    def solve(sub: Graph) -> CutsetReport:
         rep = solve_bounded_width_report(
             sub, req.kind, req.pages, width, collect_states=req.dump_states is not None
         )
         counters["states"] += rep.states_seen
         counters["arcs"] += rep.arcs_seen
-        if req.dump_states is not None:
-            for s in rep.dumped_states:
-                edge_txt = ",".join(f"{u}-{w}" for u, w in s.cut.edges) or "-"
-                order_txt = "<".join(s.cut.order) or "-"
-                pages_txt = ",".join(map(str, s.page_of)) or "-"
-                dump_lines.append(f"{edge_txt} | {order_txt} | {pages_txt}")
-        if rep.layout is None:
-            bound_rejected = bound_rejected or rep.bound_rejected
-            parts = []
-            break
-        parts.append(rep.layout)
+        for s in rep.dumped_states:
+            edge_txt = ",".join(f"{u}-{w}" for u, w in s.cut.edges) or "-"
+            order_txt = "<".join(s.cut.order) or "-"
+            pages_txt = ",".join(map(str, s.page_of)) or "-"
+            dump_lines.append(f"{edge_txt} | {order_txt} | {pages_txt}")
+        return rep
+
+    layout, bound_rejected = _solve_components(req, solve)
     if req.dump_states is not None:
         _atomic_write(req.dump_states, "\n".join(dump_lines) + "\n")
-    if not parts and g.n > 0:
-        return None, counters, bound_rejected
-    return _merge_component_layouts(req.kind, req.pages, parts), counters, False
+    return layout, counters, bound_rejected
+
+
+def _solve_queue1(req: SolveRequest) -> tuple[LinearLayout | None, dict[str, int], bool]:
+    if not edge_count_bound(req.graph, req.kind, req.pages):
+        return None, {}, True
+    counters = {"branches": 0}
+    labeling: list[dict[str, object]] = []
+    levels: dict[str, int] = {}
+
+    def solve(sub: Graph) -> BranchResult:
+        branch = solve_queue_one_page_report(sub, edge_guard=req.edge_guard)
+        counters["branches"] += branch.branches_tried
+        if branch.labeling is not None:
+            labeling.extend(
+                {"arc": list(arc), "tag": tag.value} for arc, tag in branch.labeling.items()
+            )
+            levels.update(branch.levels.levels)
+        return branch
+
+    layout, bound_rejected = _solve_components(req, solve)
+    if layout is not None and req.dump_branch is not None:
+        payload = {"labeling": labeling, "levels": levels}
+        _atomic_write(req.dump_branch, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return layout, counters, bound_rejected
 
 
 def _solve_kernel(req: SolveRequest) -> tuple[LinearLayout | None, dict[str, int]]:
@@ -142,10 +172,7 @@ def _solve_kernel(req: SolveRequest) -> tuple[LinearLayout | None, dict[str, int
         inner = oracle_solver(guard=req.oracle_guard)
     else:
         def inner(h: Graph, kind: LayoutKind, pages: int) -> LinearLayout | None:
-            layout, sub_counters, _ = _solve_cutset(
-                SolveRequest(h, "cutset", kind, pages, width=None,
-                             oracle_guard=req.oracle_guard, edge_guard=req.edge_guard)
-            )
+            layout, sub_counters, _ = _solve_cutset(SolveRequest(h, "cutset", kind, pages))
             counters["states"] = counters.get("states", 0) + sub_counters["states"]
             return layout
 
@@ -175,42 +202,18 @@ def run(req: SolveRequest) -> RunReport:
         "m": g.m,
     }
     counters: dict[str, int] = {}
-    detail = ""
+    bound_rejected = False
     t0 = time.perf_counter()
     try:
         if req.algorithm == "oracle":
             layout = solve_exhaustive(
                 OracleQuery(g, req.kind, req.pages, req.width), guard=req.oracle_guard
             )
-        elif req.algorithm == "cutset":
-            layout, counters, bound_rejected = _solve_cutset(req)
-            if bound_rejected:
-                detail = "rejected by the edge-count bound"
-        elif req.algorithm == "queue1":
-            if not edge_count_bound(g, req.kind, req.pages):
-                layout = None
-                detail = "rejected by the edge-count bound"
-            else:
-                branch = solve_queue_one_page_report(g, edge_guard=req.edge_guard)
-                counters["branches"] = branch.branches_tried
-                layout = branch.layout
-                if branch.bound_rejected:
-                    detail = "rejected by the edge-count bound"
-                if layout is not None and req.dump_branch is not None:
-                    payload = {
-                        "labeling": [
-                            {"arc": list(arc), "tag": tag.value}
-                            for arc, tag in zip(branch.labeling.arcs, branch.labeling.tags)
-                        ]
-                        if branch.labeling
-                        else [],
-                        "levels": branch.levels.levels if branch.levels else {},
-                    }
-                    _atomic_write(
-                        req.dump_branch, json.dumps(payload, indent=2, sort_keys=True) + "\n"
-                    )
-        else:
+        elif req.algorithm == "kernel":
             layout, counters = _solve_kernel(req)
+        else:
+            solve = _solve_cutset if req.algorithm == "cutset" else _solve_queue1
+            layout, counters, bound_rejected = solve(req)
     except (OracleSizeError, BranchGuardError) as exc:
         return RunReport(
             "refused",
@@ -236,7 +239,7 @@ def run(req: SolveRequest) -> RunReport:
         {"solve": solve_ms, "validate": validate_ms},
         counters,
         params,
-        detail=detail,
+        detail="rejected by the edge-count bound" if bound_rejected else "",
     )
 
 

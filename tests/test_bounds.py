@@ -1,8 +1,6 @@
 from __future__ import annotations
 
-import pytest
-
-from linlay.bounds import edge_count_bound, page_upper_bound
+from linlay.bounds import edge_count_bound
 from linlay.graphs import Graph
 from linlay.layouts import LayoutKind
 from linlay.oracle import OracleQuery, solve_exhaustive
@@ -44,16 +42,7 @@ def test_bound_monotone_in_pages():
         assert allowed == sorted(allowed)
 
 
-def test_page_upper_bound_formulas():
-    single = Graph.build(["a"], [])
-    assert page_upper_bound(single, LayoutKind.STACK, 1) == 2
-    assert page_upper_bound(single, LayoutKind.QUEUE, 3) == 9
-    with pytest.raises(ValueError):
-        page_upper_bound(single, LayoutKind.STACK, 0)
-
-
 def test_star_cap_is_only_an_upper_bound():
     star = star_of("s", ["l1", "l2", "l3", "l4", "l5"])
-    # vi of a star is 2 (delete the center); cap is 3 pages but 1 suffices
-    assert page_upper_bound(star, LayoutKind.STACK, 2) == 3
+    # vi of a star is 2 (delete the center), yet 1 stack page suffices
     assert solve_exhaustive(OracleQuery(star, LayoutKind.STACK, 1)) is not None

@@ -13,7 +13,6 @@ from linlay.kernel import (
     build_reduced_graph,
     compute_vertex_integrity,
     find_guiding_sublayout,
-    kernel_within_default_bound,
     lift_layout,
     twin_partition,
 )
@@ -179,14 +178,6 @@ def test_folding_loop_absorbs_small_classes():
         assert sum(1 for v in kept if v.startswith("p")) == 3
 
 
-def test_kernel_size_within_paper_bound_symbolically():
-    for n in (1, 10, 1000):
-        for pages in (1, 2):
-            for p in (1, 2, 3, 5):
-                assert kernel_within_default_bound(n, pages, p)
-    assert not kernel_within_default_bound(2 ** (70000), 1, 1)
-
-
 def test_guiding_sublayout_on_identical_groups():
     g = twin_gadget(1, 1, 8)
     dec = compute_vertex_integrity(g)
@@ -272,14 +263,6 @@ def test_kernel_restriction_soundness():
 
     restricted = LinearLayout(full.kind, full.page_count, restricted_spine, restricted_pages)
     assert validate_layout(cert.graph, restricted).ok
-
-
-def test_kernel_size_obeys_paper_bound_symbolically():
-    for g in (star_of("s", [f"p{i}" for i in range(6)]), cycle_of(*"abcde")):
-        dec = compute_vertex_integrity(g)
-        for pages in (1, 2):
-            cert = build_reduced_graph(g, dec, pages)
-            assert kernel_within_default_bound(cert.graph.n, pages, dec.p)
 
 
 def test_no_matching_triple_reports_absent():

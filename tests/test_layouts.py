@@ -8,7 +8,6 @@ import pytest
 from linlay.generators import twin_gadget
 from linlay.graphs import Graph, GraphError, edge
 from linlay.layouts import (
-    Cut,
     LayoutDomainError,
     LayoutKind,
     LinearLayout,
@@ -22,7 +21,6 @@ from linlay.runner import SolveRequest, run
 from naive import (
     naive_conflicting_pairs,
     naive_page_width,
-    path_of,
     random_connected_graph,
 )
 
@@ -50,13 +48,6 @@ def test_components_and_induced():
     assert not g.is_connected()
     sub = g.induced(["a", "b", "e"])
     assert sub.vertices == ("a", "b", "e") and sub.edges == (("a", "b"),)
-
-
-def test_cut_of():
-    g = path_of("a", "b", "c")
-    cut = Cut.of(g, {"a", "b"})
-    assert cut.cut_set == {("b", "c")}
-    assert cut.right == {"c"}
 
 
 def test_validate_path_on_one_stack_page(path3):
@@ -262,7 +253,11 @@ def test_page_width_examples(wide_stack):
 
 def test_page_permutation_invariance(wide_stack):
     g, layout, _, _ = wide_stack
-    swapped = layout.relabel_pages({1: 2, 2: 1})
+    swap = {1: 2, 2: 1}
+    swapped = LinearLayout(
+        layout.kind, layout.page_count, layout.spine,
+        {e: swap[p] for e, p in layout.pages.items()},
+    )
     assert validate_layout(g, swapped).ok == validate_layout(g, layout).ok
     assert page_width(swapped) == page_width(layout)
 

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from linlay.generators import twin_gadget
+from linlay.generators import random_gnm, twin_gadget
 from linlay.graphs import Graph
 from linlay.layouts import LayoutKind, LinearLayout, page_width, validate_layout
 from linlay.oracle import (
@@ -98,6 +98,17 @@ def test_witness_and_count_match_naive_enumeration():
                         assert solve_exhaustive(query) == expected, case
                         count = naive_count_layouts(g, kind, pages, width)
                         assert solve_exhaustive_all(query) == count, case
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the spine search picks back-edge pages while it extends the spine, so its "
+    "first spine is the first in (vertex, page vector) order (ROADMAP open item)",
+)
+def test_two_page_width_bounded_witness_is_lex_first():
+    g = random_gnm(6, 7, 327858)
+    query = OracleQuery(g, LayoutKind.QUEUE, 2, 2)
+    assert solve_exhaustive(query) == naive_lex_first_layout(g, LayoutKind.QUEUE, 2, 2)
 
 
 def test_twin_heavy_witness_and_count_match_naive_enumeration():

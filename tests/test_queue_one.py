@@ -193,13 +193,11 @@ def test_edge_guard_is_refusal():
     assert solve_queue_one_page(g, edge_guard=30) is not None
 
 
-def test_disconnected_components_concatenate():
-    g = Graph.build(
-        ["a", "b", "c", "x", "y", "z"],
-        [("a", "b"), ("b", "c"), ("x", "y"), ("y", "z")],
-    )
-    layout = solve_queue_one_page(g)
-    assert layout is not None and validate_layout(g, layout).ok
+def test_disconnected_input_is_rejected():
+    # linlay.runner splits components before calling the solver
+    g = Graph.build(["a", "b", "z"], [("a", "b")])
+    with pytest.raises(ValueError):
+        solve_queue_one_page(g)
 
 
 def test_verdicts_match_oracle_small():

@@ -8,7 +8,7 @@ import pytest
 from linlay.cli import main
 from linlay.fileformats import layout_from_json, serialize_graph
 from linlay.generators import complete_graph, cycle_graph, random_gnm, twin_gadget
-from linlay.graphs import Graph
+from linlay.graphs import Graph, edge
 from linlay.layouts import LayoutKind, validate_layout
 from linlay.runner import RequestError, SolveRequest, run
 
@@ -88,6 +88,26 @@ def test_run_cutset_disconnected_components():
     report = run(SolveRequest(g, "cutset", LayoutKind.QUEUE, 1, width=2))
     assert report.verdict == "found"
     assert validate_layout(g, report.layout).ok
+
+
+def test_run_queue1_disconnected_components(tmp_path):
+    g = Graph.build(
+        ["a", "b", "c", "w", "x", "y", "z"],
+        [("a", "b"), ("b", "c"), ("x", "y"), ("y", "z")],
+    )
+    dump = tmp_path / "branch.json"
+    report = run(SolveRequest(g, "queue1", LayoutKind.QUEUE, 1, dump_branch=str(dump)))
+    assert report.layout is not None and validate_layout(g, report.layout).ok
+    # the branch dump covers every component: one arc per edge in component
+    # order, and levels from 1 for each component with edges
+    payload = json.loads(dump.read_text())
+    assert [edge(*item["arc"]) for item in payload["labeling"]] == list(g.edges)
+    levels = payload["levels"]
+    assert sorted(levels) == ["a", "b", "c", "x", "y", "z"]
+    assert min(levels[v] for v in "abc") == min(levels[v] for v in "xyz") == 1
+    for item in payload["labeling"]:
+        u, v = item["arc"]
+        assert levels[v] - levels[u] == (1 if item["tag"] == "ordinary" else 0)
 
 
 def test_run_kernel_with_threshold():
