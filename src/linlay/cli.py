@@ -34,7 +34,7 @@ from .oracle import (
 )
 from .queue_one import DEFAULT_EDGE_GUARD
 from .runner import ALGORITHMS, RequestError, SolveRequest, _atomic_write, report_to_dict, run
-from .svg import emit_svg
+from .svg import render_svg
 
 
 def _read(path: str) -> str:
@@ -103,7 +103,7 @@ def cmd_oracle(args) -> int:
         print("infeasible")
         return 1
     _write(args.out, layout_to_json(layout))
-    if args.out:
+    if args.out and args.out != "-":
         print(f"found; witness written to {args.out}")
     return 0
 
@@ -182,7 +182,7 @@ def cmd_gen(args) -> int:
 
 def cmd_render(args) -> int:
     layout = layout_from_json(_read(args.layout))
-    emit_svg(layout, args.out)
+    _atomic_write(args.out, render_svg(layout))
     print(f"wrote {args.out}")
     return 0
 

@@ -210,8 +210,7 @@ def induce_order(
     endpoint = set(cut.order)
 
     def internal(comp: tuple[str, ...]) -> list[str]:
-        sub = g.induced(comp)
-        order = [v for v in sub.iter_bfs(comp[0]) if v not in endpoint]
+        order = [v for v in next(g.induced(comp).bfs_components()) if v not in endpoint]
         if shuffle is not None:
             shuffle.shuffle(order)
         return order

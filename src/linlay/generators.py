@@ -84,18 +84,27 @@ def twin_gadget(
     return Graph.build(vertices, edges)
 
 
+def _int(params: dict, key: str, default: int | None = None) -> int:
+    """Integer parameter ``key``; KeyError when it is missing with no default."""
+    value = params[key] if default is None else params.get(key, default)
+    try:
+        return int(value)
+    except (TypeError, ValueError):
+        raise GeneratorError(f"parameter {key!r} must be an integer, got {value!r}") from None
+
+
 _FAMILIES = {
-    "path": lambda params, seed: path_graph(int(params["n"])),
-    "cycle": lambda params, seed: cycle_graph(int(params["n"])),
-    "star": lambda params, seed: star_graph(int(params["n"])),
-    "complete": lambda params, seed: complete_graph(int(params["n"])),
+    "path": lambda params, seed: path_graph(_int(params, "n")),
+    "cycle": lambda params, seed: cycle_graph(_int(params, "n")),
+    "star": lambda params, seed: star_graph(_int(params, "n")),
+    "complete": lambda params, seed: complete_graph(_int(params, "n")),
     "random_gnm": lambda params, seed: random_gnm(
-        int(params["n"]), int(params["m"]), int(seed if seed is not None else 0)
+        _int(params, "n"), _int(params, "m"), int(seed if seed is not None else 0)
     ),
     "twin_gadget": lambda params, seed: twin_gadget(
-        int(params.get("core", 1)),
-        int(params.get("copy", 1)),
-        int(params["k"]),
+        _int(params, "core", 1),
+        _int(params, "copy", 1),
+        _int(params, "k"),
     ),
 }
 

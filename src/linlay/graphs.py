@@ -48,9 +48,8 @@ class Graph:
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple[str, str]], isolated: Iterable[str] = ()) -> "Graph":
-        es = [edge(u, v) for u, v in edges]
-        vs = {v for e in es for v in e} | set(isolated)
-        return cls.build(vs, es)
+        es = list(edges)
+        return cls.build({v for e in es for v in e} | set(isolated), es)
 
     @property
     def n(self) -> int:
@@ -83,25 +82,29 @@ class Graph:
     def has_edge(self, u: str, v: str) -> bool:
         return u != v and edge(u, v) in self.edge_set
 
-    def components(self) -> tuple[tuple[str, ...], ...]:
-        """Connected components, each sorted, listed by their smallest vertex."""
-        seen: set[str] = set()
-        comps: list[tuple[str, ...]] = []
+    def bfs_components(self, avoid: Iterable[str] = ()) -> Iterator[list[str]]:
+        """Components of G - ``avoid``, listed by their smallest vertex, each in
+        breadth-first order from it with neighbours in canonical order.
+
+        Walks ``adjacency`` and skips ``avoid``, so no graph is rebuilt.
+        """
+        seen = set(avoid)
+        adj = self.adjacency
         for start in self.vertices:
             if start in seen:
                 continue
-            queue = [start]
             seen.add(start)
-            comp = []
-            while queue:
-                v = queue.pop()
-                comp.append(v)
-                for w in self.adjacency[v]:
+            order = [start]
+            for v in order:
+                for w in adj[v]:
                     if w not in seen:
                         seen.add(w)
-                        queue.append(w)
-            comps.append(tuple(sorted(comp)))
-        return tuple(sorted(comps))
+                        order.append(w)
+            yield order
+
+    def components(self) -> tuple[tuple[str, ...], ...]:
+        """Connected components, each sorted, listed by their smallest vertex."""
+        return tuple(tuple(sorted(c)) for c in self.bfs_components())
 
     def twin_classes(self) -> tuple[tuple[str, ...], ...]:
         """Twin classes of two or more vertices, each sorted, listed by their
@@ -130,17 +133,3 @@ class Graph:
         if unknown:
             raise GraphError(f"unknown vertices {sorted(unknown)!r}")
         return Graph.build(keep, [e for e in self.edges if e[0] in keep and e[1] in keep])
-
-    def iter_bfs(self, start: str) -> Iterator[str]:
-        """Breadth-first vertex order from ``start``, neighbors in canonical order."""
-        seen = {start}
-        queue = [start]
-        i = 0
-        while i < len(queue):
-            v = queue[i]
-            i += 1
-            yield v
-            for w in self.adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)

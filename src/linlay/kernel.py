@@ -22,7 +22,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Iterator
+from typing import Callable
 
 from .graphs import Edge, Graph, edge
 from .layouts import LayoutKind, LinearLayout, validate_layout
@@ -47,27 +47,6 @@ class ViDecomposition:
     p: int
 
 
-def _components_avoiding(g: Graph, sep: Iterable[str]) -> Iterator[list[str]]:
-    """Components of G - S, by smallest vertex, each in BFS order from it.
-
-    Walks ``g.adjacency`` and skips S, so no graph is rebuilt; neighbours
-    are visited in canonical order, as ``Graph.iter_bfs`` does.
-    """
-    seen = set(sep)
-    adj = g.adjacency
-    for start in g.vertices:
-        if start in seen:
-            continue
-        seen.add(start)
-        order = [start]
-        for v in order:
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    order.append(w)
-        yield order
-
-
 def _vi_witness(g: Graph, p: int) -> tuple[str, ...] | None:
     """Separator S with |S| + max component size <= p, or None.
 
@@ -76,7 +55,7 @@ def _vi_witness(g: Graph, p: int) -> tuple[str, ...] | None:
     """
 
     def rec(sep: frozenset[str]) -> tuple[str, ...] | None:
-        for comp in _components_avoiding(g, sep):
+        for comp in g.bfs_components(sep):
             if len(comp) + len(sep) > p:
                 break
         else:
@@ -104,7 +83,7 @@ def compute_vertex_integrity(g: Graph, budget: int | None = None) -> ViDecomposi
     for p in range(1, top + 1):
         sep = _vi_witness(g, p)
         if sep is not None:
-            comps = tuple(tuple(sorted(c)) for c in _components_avoiding(g, sep))
+            comps = tuple(tuple(sorted(c)) for c in g.bfs_components(sep))
             return ViDecomposition(sep, comps, p)
     return None
 

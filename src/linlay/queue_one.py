@@ -13,10 +13,11 @@ components of a disconnected one and concatenates them).  It branches over
 the 4^m labelings in a fixed order (per edge: forward-ordinary,
 backward-ordinary, forward-arching, backward-arching) and returns the
 first branch that succeeds, pruning labeling prefixes whose level
-constraints are already contradictory.  Each complete labeling hands its
-arch side conditions to the level-planarity tester as same-level
-precedence pairs, which its ordering-parity check uses to reject most
-branches without a search.
+constraints are already contradictory; the union-find that decides them
+also gives each complete labeling its levels.  Each complete labeling
+hands its arch side conditions to the level-planarity tester as
+same-level precedence pairs, which its ordering-parity check uses to
+reject most branches without a search.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .bounds import edge_count_bound
-from .graphs import Edge, Graph, edge
+from .graphs import Graph
 from .layouts import LayoutKind, LinearLayout, validate_layout
 from .levelplan import (
     LevelAssignment,
@@ -84,39 +85,18 @@ def enumerate_labelings(g: Graph) -> Iterator[Labeling]:
 
 
 def level_assignment_from_labeling(g: Graph, lab: Labeling) -> LevelAssignment | None:
-    """Breadth-first propagation of the level constraints; None on conflict.
+    """The level constraints of a labeling, solved by union-find; None on
+    conflict, ValueError on a disconnected graph.
 
     Ordinary arcs climb one level, arching arcs stay level; the result is
-    shifted so the lowest level is 1 and is independent of the start vertex.
+    shifted so the lowest level is 1.
     """
     if g.n == 0:
         return LevelAssignment.build({})
-    if not g.is_connected():
-        raise ValueError("level assignment expects a connected graph")
-    delta: dict[Edge, int] = {}
-    head: dict[Edge, str] = {}
-    for (u, v), tag in lab.items():
-        e = edge(u, v)
-        delta[e] = 1 if tag is ArcTag.ORDINARY else 0
-        head[e] = v
-    level = {g.vertices[0]: 0}
-    queue = [g.vertices[0]]
-    i = 0
-    while i < len(queue):
-        u = queue[i]
-        i += 1
-        for w in g.neighbors(u):
-            e = edge(u, w)
-            d = delta[e] if head[e] == w else -delta[e]
-            want = level[u] + d
-            if w in level:
-                if level[w] != want:
-                    return None
-            else:
-                level[w] = want
-                queue.append(w)
-    low = min(level.values())
-    return LevelAssignment.build({v: lv - low + 1 for v, lv in level.items()})
+    dsu = _LevelDSU(g.vertices)
+    unions = [dsu.union(u, v, 1 if tag is ArcTag.ORDINARY else 0) for (u, v), tag in lab.items()]
+    levels = dsu.levels()
+    return levels if all(unions) else None
 
 
 # -- reduction to level planarity ---------------------------------------------
@@ -240,18 +220,6 @@ def branch_accepts(g: Graph, lab: Labeling, levels: LevelAssignment) -> bool:
     return find_level_embedding(derived, before=branch_side_filter(g, lab, levels)) is not None
 
 
-def _per_level_orig_orders(
-    g: Graph, levels: LevelAssignment, emb: LevelEmbedding, reflect: bool
-) -> dict[int, list[str]]:
-    orders: dict[int, list[str]] = {i: [] for i in range(1, levels.h + 1)}
-    for i in range(1, levels.h + 1):
-        row = emb.orders.get(2 * i + 1, ())
-        if reflect:
-            row = tuple(reversed(row))
-        orders[i] = [v[2:] for v in row if v.startswith("g:")]
-    return orders
-
-
 def embedding_to_queue_layout(
     g: Graph, lab: Labeling, levels: LevelAssignment, emb: LevelEmbedding
 ) -> LinearLayout:
@@ -268,7 +236,12 @@ def embedding_to_queue_layout(
         row = emb.orders.get(2, ())
         li, ri = row.index("f:l:0"), row.index("f:r:0")
         reflect = li > ri
-    orders = _per_level_orig_orders(g, levels, emb, reflect)
+    orders: dict[int, list[str]] = {}
+    for i in range(1, levels.h + 1):
+        row = emb.orders.get(2 * i + 1, ())
+        if reflect:
+            row = row[::-1]
+        orders[i] = [v[2:] for v in row if v.startswith("g:")]
     lv = levels.levels
 
     for u, v in arch_arcs:
@@ -345,6 +318,16 @@ class _LevelDSU:
             self.parent[child] = child
             self.offset[child] = 0
 
+    def levels(self) -> LevelAssignment:
+        """The levels, shifted so the lowest is 1; ValueError unless every
+        vertex is in one set."""
+        root, _ = self.find(next(iter(self.parent)))
+        if self.size[root] != len(self.parent):
+            raise ValueError("level assignment expects a connected graph")
+        offset = {v: self.find(v)[1] for v in self.parent}
+        low = min(offset.values())
+        return LevelAssignment.build({v: d - low + 1 for v, d in offset.items()})
+
 
 @dataclass
 class BranchResult:
@@ -369,8 +352,7 @@ def _solve_component(g: Graph) -> BranchResult:
             (e[1], e[0]) if flip else e for e, (flip, _) in zip(edges, chosen)
         )
         lab = Labeling(arcs, tuple(tag for _, tag in chosen))
-        levels = level_assignment_from_labeling(g, lab)
-        assert levels is not None, "prefix pruning admitted an inconsistent labeling"
+        levels = dsu.levels()
         derived = reduce_to_level_planarity(g, lab, levels)
         if derived is None:
             return None

@@ -3,8 +3,6 @@ one color per page.  Output bytes are deterministic for a fixed layout."""
 
 from __future__ import annotations
 
-import os
-
 from .layouts import LinearLayout
 
 PAGE_COLORS = (
@@ -58,11 +56,3 @@ def render_svg(layout: LinearLayout) -> str:
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
-
-def emit_svg(layout: LinearLayout, path: str) -> None:
-    """Write the rendering atomically."""
-    data = render_svg(layout)
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(data)
-    os.replace(tmp, path)

@@ -50,6 +50,17 @@ def test_components_and_induced():
     assert sub.vertices == ("a", "b", "e") and sub.edges == (("a", "b"),)
 
 
+def test_bfs_components():
+    g = Graph.build(
+        list("abcdefghi"), [("a", "c"), ("a", "e"), ("c", "b"), ("e", "d"), ("f", "h"), ("h", "g")]
+    )
+    # by smallest vertex; breadth-first, neighbours in canonical order
+    assert list(g.bfs_components()) == [["a", "c", "e", "b", "d"], ["f", "h", "g"], ["i"]]
+    assert list(g.bfs_components({"a", "h"})) == [["b", "c"], ["d", "e"], ["f"], ["g"], ["i"]]
+    assert g.components() == tuple(tuple(sorted(c)) for c in g.bfs_components())
+    assert g.components() == (("a", "b", "c", "d", "e"), ("f", "g", "h"), ("i",))
+
+
 def test_validate_path_on_one_stack_page(path3):
     layout = LinearLayout(
         LayoutKind.STACK, 1, ("a", "b", "c"), {("a", "b"): 1, ("b", "c"): 1}

@@ -5,7 +5,8 @@ import random
 import pytest
 
 from linlay.graphs import Graph
-from linlay import levelplan
+from linlay import levelplan, queue_one
+from linlay.generators import random_gnm
 from linlay.layouts import LayoutKind, validate_layout
 from linlay.levelplan import find_level_embedding
 from linlay.oracle import OracleQuery, solve_exhaustive
@@ -198,6 +199,37 @@ def test_disconnected_input_is_rejected():
     g = Graph.build(["a", "b", "z"], [("a", "b")])
     with pytest.raises(ValueError):
         solve_queue_one_page(g)
+
+
+def test_level_assignment_rejects_disconnected_graph():
+    g = Graph.build(["a", "b", "c", "x", "y"], [("a", "b"), ("b", "c"), ("a", "c"), ("x", "y")])
+    with pytest.raises(ValueError):
+        level_assignment_from_labeling(g, lab_of(("a", "b", "ord"), ("a", "c", "ord"),
+                                                 ("b", "c", "arch"), ("x", "y", "ord")))
+    # a conflict does not hide the disconnection
+    with pytest.raises(ValueError):
+        level_assignment_from_labeling(g, lab_of(("a", "b", "ord"), ("a", "c", "ord"),
+                                                 ("b", "c", "ord"), ("x", "y", "ord")))
+    assert level_assignment_from_labeling(Graph.build([], []), Labeling((), ())).levels == {}
+
+
+def test_leaf_levels_match_level_assignment_from_labeling(monkeypatch):
+    """The search reads each leaf's levels off its union-find; they must be
+    the labeling's own levels, lowest level 1."""
+    reduce = queue_one.reduce_to_level_planarity
+    leaves = []
+
+    def checked(g, lab, levels):
+        assert levels == level_assignment_from_labeling(g, lab)
+        assert min(levels.levels.values()) == 1
+        leaves.append(lab)
+        return reduce(g, lab, levels)
+
+    monkeypatch.setattr(queue_one, "reduce_to_level_planarity", checked)
+    for n, m, seed in [(6, 7, 1), (7, 8, 2), (7, 9, 5), (8, 10, 3), (8, 11, 7), (9, 12, 4)]:
+        leaves.clear()
+        report = solve_queue_one_page_report(random_gnm(n, m, seed))
+        assert len(leaves) == report.branches_tried > 0
 
 
 def test_verdicts_match_oracle_small():

@@ -198,6 +198,23 @@ def test_cli_invalid_arguments_exit_3(tmp_path, capsys, argv):
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
+def test_cli_gen_bad_parameters_exit_3(capsys):
+    assert main(["gen", "path", "--param", "n=abc"]) == 3
+    assert capsys.readouterr().err == "error: parameter 'n' must be an integer, got 'abc'\n"
+    assert main(["gen", "random_gnm", "--param", "n=3", "--param", "m=9"]) == 3
+    assert capsys.readouterr().err == "error: no simple graph with n=3, m=9\n"
+
+
+def test_cli_oracle_witness_to_stdout_is_json(tmp_path, capsys):
+    c4 = cycle_graph(4)
+    path = write_graph(tmp_path, c4)
+    assert main(["oracle", path, "--kind", "stack", "--pages", "1", "--out", "-"]) == 0
+    assert validate_layout(c4, layout_from_json(capsys.readouterr().out)).ok
+    out = str(tmp_path / "c4.json")
+    assert main(["oracle", path, "--kind", "stack", "--pages", "1", "--out", out]) == 0
+    assert capsys.readouterr().out == f"found; witness written to {out}\n"
+
+
 def test_cli_unknown_kind_names_the_valid_kinds(tmp_path, capsys):
     path = write_graph(tmp_path, cycle_graph(5))
     with pytest.raises(SystemExit) as exc:
