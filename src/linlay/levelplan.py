@@ -16,9 +16,12 @@ levels with distinct lower ends a, c and distinct upper ends b, d cannot
 cross iff x(a, c) = x(b, d); each precedence pair the caller asks for
 sets one variable.  Union-find with parity decides the system in time
 near-linear in its size, and a contradiction rejects the instance before
-any order is enumerated.  Without precedence pairs the system is satisfiable exactly
-when the instance is level planar (both papers); with them it is only a
-necessary condition, so the search still decides.
+any order is enumerated.  Without precedence pairs the system is
+satisfiable exactly when the instance is level planar (both papers); with
+them it is only a necessary condition, so the search still decides.
+``parity_consistent`` takes a level map, edges and pairs rather than an
+instance, so the queue1 solver decides a relaxation of its derived
+instances with the same code before it builds them.
 
 Correctness is the contract here, not the linear running time of the
 published level-planarity algorithms; instances in this package arrive
@@ -203,9 +206,11 @@ class _ParityUnionFind:
 _FALSE = None  # anchor node of the parity system, the constant 0
 
 
-def _parity_consistent(lg: LeveledGraph, before: Iterable[Precedence]) -> bool:
-    """Whether the ordering-parity system of ``lg`` with units ``before``
-    has a solution.
+def parity_consistent(
+    lv: dict[str, int], edges: Iterable[tuple[str, str]], before: Iterable[Precedence]
+) -> bool:
+    """Whether the ordering-parity system of the proper edges ``edges`` at
+    levels ``lv``, with units ``before``, has a solution.
 
     The variable of a same-level pair u < v is "u is left of v"; the
     literal x(a, c) of the reversed pair is its negation.  Any
@@ -213,13 +218,12 @@ def _parity_consistent(lg: LeveledGraph, before: Iterable[Precedence]) -> bool:
     in ``before`` satisfies every equation and unit, so a contradiction
     proves that no such drawing exists.
     """
-    lv = lg.levels.levels
     uf = _ParityUnionFind()
     for p, q in before:
         if not uf.join((min(p, q), max(p, q)), _FALSE, int(p < q)):
             return False
     spans: dict[int, list[tuple[str, str]]] = {}
-    for u, v in lg.graph.edges:
+    for u, v in edges:
         if lv[u] > lv[v]:
             u, v = v, u
         spans.setdefault(lv[u], []).append((u, v))
@@ -306,7 +310,7 @@ def find_level_embedding(
         if p == q or p not in lv or lv[p] != lv.get(q):
             raise LevelError(f"precedence pair {p!r}, {q!r} is not on one level")
         before_by_level.setdefault(lv[p], []).append((p, q))
-    if not _parity_consistent(lg, before):
+    if not parity_consistent(lv, lg.graph.edges, before):
         return None
     comps = lg.graph.components()
     if before and len(comps) > 1:

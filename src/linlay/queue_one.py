@@ -15,9 +15,13 @@ backward-ordinary, forward-arching, backward-arching) and returns the
 first branch that succeeds, pruning labeling prefixes whose level
 constraints are already contradictory; the union-find that decides them
 also gives each complete labeling its levels.  Each complete labeling
-hands its arch side conditions to the level-planarity tester as
-same-level precedence pairs, which its ordering-parity check uses to
-reject most branches without a search.
+states its arch side conditions as same-level precedence pairs and is
+first checked on a relaxation over the original vertices: the
+ordering-parity system of its ordinary arcs with those pairs.  Nearly
+every branch fails there, and only the survivors are reduced and handed,
+with the pairs, to the level-planarity tester.  The relaxation is implied
+by the framed instance's own system, so every branch's outcome is the
+one the tester alone would give.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .levelplan import (
     LevelEmbedding,
     Precedence,
     find_level_embedding,
+    parity_consistent,
 )
 
 DEFAULT_EDGE_GUARD = 26
@@ -211,13 +216,45 @@ def branch_side_filter(g: Graph, lab: Labeling, levels: LevelAssignment) -> list
     return pairs
 
 
-def branch_accepts(g: Graph, lab: Labeling, levels: LevelAssignment) -> bool:
-    """Whether one labeling branch succeeds: reduce, then search a drawing
-    that also satisfies the arch side conditions."""
+def _relaxation_consistent(
+    lab: Labeling, levels: LevelAssignment, pairs: list[Precedence]
+) -> bool:
+    """The ordering-parity system of one branch restricted to the original
+    vertices at the labeling's levels: the side pairs ``pairs`` of
+    ``branch_side_filter`` without the frame pair (their first) and with
+    the ``g:`` prefix dropped, and x(a, c) = x(b, d) for every two
+    ordinary arcs a->b and c->d with the same lower level, a != c and
+    b != d.
+
+    Sound as a rejection.  In the framed instance the arcs become the
+    paths a - d:ab - b and c - d:cd - d, whose four edges give
+    x(a, c) = x(d:ab, d:cd) and x(d:ab, d:cd) = x(b, d); the side pairs
+    other than the frame pair are units of that system too.  So every
+    solution of the framed system restricts to a solution of this one, and
+    when this one has none, ``find_level_embedding`` would reject the
+    branch on its own parity check.
+    """
+    ordinary = [arc for arc, tag in lab.items() if tag is ArcTag.ORDINARY]
+    return parity_consistent(levels.levels, ordinary, ((p[2:], q[2:]) for p, q in pairs[1:]))
+
+
+def _decide_branch(g: Graph, lab: Labeling, levels: LevelAssignment) -> LevelEmbedding | None:
+    """A drawing of the branch's framed instance that meets the arch side
+    conditions, or None.  The relaxation over the original graph rejects
+    most branches before the instance is built."""
+    pairs = branch_side_filter(g, lab, levels)
+    if not _relaxation_consistent(lab, levels, pairs):
+        return None
     derived = reduce_to_level_planarity(g, lab, levels)
     if derived is None:
-        return False
-    return find_level_embedding(derived, before=branch_side_filter(g, lab, levels)) is not None
+        return None
+    return find_level_embedding(derived, before=pairs)
+
+
+def branch_accepts(g: Graph, lab: Labeling, levels: LevelAssignment) -> bool:
+    """Whether one labeling branch succeeds; the search's leaves decide
+    with the same function."""
+    return _decide_branch(g, lab, levels) is not None
 
 
 def embedding_to_queue_layout(
@@ -353,10 +390,7 @@ def _solve_component(g: Graph) -> BranchResult:
         )
         lab = Labeling(arcs, tuple(tag for _, tag in chosen))
         levels = dsu.levels()
-        derived = reduce_to_level_planarity(g, lab, levels)
-        if derived is None:
-            return None
-        emb = find_level_embedding(derived, before=branch_side_filter(g, lab, levels))
+        emb = _decide_branch(g, lab, levels)
         if emb is None:
             return None
         layout = embedding_to_queue_layout(g, lab, levels, emb)

@@ -88,26 +88,30 @@ class RunReport:
         return {"found": 0, "infeasible": 1, "refused": 2}[self.verdict]
 
 
+_BOUND_DETAIL = "rejected by the edge-count bound"
+
+
 def _solve_components(
     req: SolveRequest, solve: Callable[[Graph], CutsetReport | BranchResult]
-) -> tuple[LinearLayout | None, bool]:
+) -> tuple[LinearLayout | None, CutsetReport | BranchResult | None]:
     """Lay out each component with ``solve`` and concatenate the layouts.
 
     Stops at the first component with no layout and returns None with
-    whether that component failed the edge-count bound.
+    that component's report; the report is None when every component
+    has a layout.
     """
     spine: list[str] = []
     page_map = {}
     for comp in req.graph.components():
         rep = solve(req.graph.induced(comp))
         if rep.layout is None:
-            return None, rep.bound_rejected
+            return None, rep
         spine.extend(rep.layout.spine)
         page_map.update(rep.layout.pages)
-    return LinearLayout(req.kind, req.pages, tuple(spine), page_map), False
+    return LinearLayout(req.kind, req.pages, tuple(spine), page_map), None
 
 
-def _solve_cutset(req: SolveRequest) -> tuple[LinearLayout | None, dict[str, int], bool]:
+def _solve_cutset(req: SolveRequest) -> tuple[LinearLayout | None, dict[str, int], str]:
     width = req.width if req.width is not None else max(req.graph.m, 1)
     counters = {"states": 0, "arcs": 0}
     dump_lines: list[str] = []
@@ -125,15 +129,15 @@ def _solve_cutset(req: SolveRequest) -> tuple[LinearLayout | None, dict[str, int
             dump_lines.append(f"{edge_txt} | {order_txt} | {pages_txt}")
         return rep
 
-    layout, bound_rejected = _solve_components(req, solve)
+    layout, failed = _solve_components(req, solve)
     if req.dump_states is not None:
         _atomic_write(req.dump_states, "\n".join(dump_lines) + "\n")
-    return layout, counters, bound_rejected
+    return layout, counters, _BOUND_DETAIL if failed is not None and failed.bound_rejected else ""
 
 
-def _solve_queue1(req: SolveRequest) -> tuple[LinearLayout | None, dict[str, int], bool]:
+def _solve_queue1(req: SolveRequest) -> tuple[LinearLayout | None, dict[str, int], str]:
     if not edge_count_bound(req.graph, req.kind, req.pages):
-        return None, {}, True
+        return None, {}, _BOUND_DETAIL
     counters = {"branches": 0}
     labeling: list[dict[str, object]] = []
     levels: dict[str, int] = {}
@@ -148,11 +152,15 @@ def _solve_queue1(req: SolveRequest) -> tuple[LinearLayout | None, dict[str, int
             levels.update(branch.levels.levels)
         return branch
 
-    layout, bound_rejected = _solve_components(req, solve)
-    if layout is not None and req.dump_branch is not None:
+    layout, failed = _solve_components(req, solve)
+    if failed is not None:
+        if failed.bound_rejected:
+            return None, counters, _BOUND_DETAIL
+        return None, counters, f"all {failed.branches_tried} labeling branches rejected"
+    if req.dump_branch is not None:
         payload = {"labeling": labeling, "levels": levels}
         _atomic_write(req.dump_branch, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return layout, counters, bound_rejected
+    return layout, counters, ""
 
 
 def _solve_kernel(req: SolveRequest) -> tuple[LinearLayout | None, dict[str, int]]:
@@ -202,7 +210,7 @@ def run(req: SolveRequest) -> RunReport:
         "m": g.m,
     }
     counters: dict[str, int] = {}
-    bound_rejected = False
+    detail = ""
     t0 = time.perf_counter()
     try:
         if req.algorithm == "oracle":
@@ -213,7 +221,7 @@ def run(req: SolveRequest) -> RunReport:
             layout, counters = _solve_kernel(req)
         else:
             solve = _solve_cutset if req.algorithm == "cutset" else _solve_queue1
-            layout, counters, bound_rejected = solve(req)
+            layout, counters, detail = solve(req)
     except (OracleSizeError, BranchGuardError) as exc:
         return RunReport(
             "refused",
@@ -239,15 +247,25 @@ def run(req: SolveRequest) -> RunReport:
         {"solve": solve_ms, "validate": validate_ms},
         counters,
         params,
-        detail="rejected by the edge-count bound" if bound_rejected else "",
+        detail=detail,
     )
 
 
 def _atomic_write(path: str, data: str) -> None:
+    """Write ``data`` to ``path`` through ``<path>.tmp``.  On failure the
+    temporary file, if this call made it, is removed, and the error names
+    ``path``."""
     tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    made = False
+    try:
+        with open(tmp, "w") as fh:
+            made = True
+            fh.write(data)
+        os.replace(tmp, path)
+    except OSError as exc:
+        if made:
+            os.remove(tmp)
+        raise OSError(exc.errno, exc.strerror, path) from None
 
 
 def report_to_dict(report: RunReport) -> dict:

@@ -215,17 +215,18 @@ def test_level_assignment_rejects_disconnected_graph():
 
 def test_leaf_levels_match_level_assignment_from_labeling(monkeypatch):
     """The search reads each leaf's levels off its union-find; they must be
-    the labeling's own levels, lowest level 1."""
-    reduce = queue_one.reduce_to_level_planarity
+    the labeling's own levels, lowest level 1.  Every leaf builds its side
+    pairs; only the leaves the relaxation keeps are reduced."""
+    side_filter = queue_one.branch_side_filter
     leaves = []
 
     def checked(g, lab, levels):
         assert levels == level_assignment_from_labeling(g, lab)
         assert min(levels.levels.values()) == 1
         leaves.append(lab)
-        return reduce(g, lab, levels)
+        return side_filter(g, lab, levels)
 
-    monkeypatch.setattr(queue_one, "reduce_to_level_planarity", checked)
+    monkeypatch.setattr(queue_one, "branch_side_filter", checked)
     for n, m, seed in [(6, 7, 1), (7, 8, 2), (7, 9, 5), (8, 10, 3), (8, 11, 7), (9, 12, 4)]:
         leaves.clear()
         report = solve_queue_one_page_report(random_gnm(n, m, seed))
@@ -283,7 +284,7 @@ def test_side_pairs_accept_exactly_the_rows_the_side_conditions_accept(monkeypat
             yield row
 
     monkeypatch.setattr(levelplan, "_candidate_orders", checked_orders)
-    monkeypatch.setattr(levelplan, "_parity_consistent", lambda lg, before: True)
+    monkeypatch.setattr(levelplan, "parity_consistent", lambda lv, edges, before: True)
     for g in graphs:
         for lab in enumerate_labelings(g):
             levels = level_assignment_from_labeling(g, lab)
@@ -297,6 +298,41 @@ def test_side_pairs_accept_exactly_the_rows_the_side_conditions_accept(monkeypat
                           derived_levels=derived.levels.levels, pairs=pairs)
             find_level_embedding(derived, before=pairs)
     assert verdicts[True] > 0 and verdicts[False] > 0
+
+
+def test_relaxation_rejects_only_branches_the_framed_parity_system_rejects():
+    # every labeling of criterion-6-sized graphs and of a few random_gnm
+    # graphs: when the relaxation over the original vertices has no
+    # solution, neither has the framed instance's system, and no arched
+    # embedding induces the labeling.  Dropping the b != d guard of the
+    # parity equations fails this test.
+    rng = random.Random(67)
+    graphs = [
+        random_gnm(n, m, seed) for n, m, seed in [(5, 6, 0), (6, 7, 2), (7, 7, 3), (8, 7, 3)]
+    ]
+    while len(graphs) < 14:
+        n = rng.randint(3, 6)
+        extra = rng.randint(0, min(2, n * (n - 1) // 2 - (n - 1)))
+        graphs.append(random_connected_graph(rng, n, extra))
+    outcomes = {True: 0, False: 0}
+    for g in graphs:
+        for lab in enumerate_labelings(g):
+            levels = level_assignment_from_labeling(g, lab)
+            if levels is None:
+                continue
+            derived = reduce_to_level_planarity(g, lab, levels)
+            if derived is None:
+                continue
+            pairs = branch_side_filter(g, lab, levels)
+            relaxed = queue_one._relaxation_consistent(lab, levels, pairs)
+            if not relaxed:
+                framed = levelplan.parity_consistent(
+                    derived.levels.levels, derived.graph.edges, pairs
+                )
+                assert not framed, (g.edges, lab)
+                assert not arched_embedding_exists(g, lab, levels), (g.edges, lab)
+            outcomes[relaxed] += 1
+    assert outcomes[True] > 0 and outcomes[False] > 0
 
 
 def test_unconstrained_drawing_can_overshoot_side_conditions():

@@ -54,6 +54,17 @@ def test_component_edge_count_rejection_names_the_bound(algo):
     assert report.detail == "rejected by the edge-count bound"
 
 
+def test_queue1_infeasible_detail_names_the_branch_rejection():
+    # passes the edge-count bound (7 <= 2*5 - 3) but has no 1-page queue layout
+    g = Graph.from_edges(
+        [("a", "e"), ("b", "c"), ("b", "d"), ("b", "e"), ("c", "d"), ("c", "e"), ("d", "e")]
+    )
+    report = run(SolveRequest(g, "queue1", LayoutKind.QUEUE, 1))
+    assert report.verdict == "infeasible"
+    assert report.counters["branches"] == 60
+    assert report.detail == "all 60 labeling branches rejected"
+
+
 def test_run_oracle_found(c4):
     report = run(SolveRequest(c4, "oracle", LayoutKind.STACK, 1))
     assert report.verdict == "found" and report.exit_code == 0
@@ -196,6 +207,20 @@ def test_cli_invalid_arguments_exit_3(tmp_path, capsys, argv):
     assert code == 3
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("suffix", ["", "/"])
+def test_cli_failed_write_leaves_no_temporary_file(tmp_path, capsys, suffix):
+    path = write_graph(tmp_path, cycle_graph(5))
+    out_dir = tmp_path / "somedir"
+    out_dir.mkdir()
+    out = f"{out_dir}{suffix}"
+    assert main(["solve", path, "--algo", "queue1", "--kind", "queue", "--pages", "1",
+                 "--out", out]) == 4
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.graph", "somedir"]
+    assert list(out_dir.iterdir()) == []
+    err = capsys.readouterr().err
+    assert repr(out) in err and ".tmp" not in err
 
 
 def test_cli_gen_bad_parameters_exit_3(capsys):
