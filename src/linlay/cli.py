@@ -182,8 +182,9 @@ def cmd_gen(args) -> int:
 
 def cmd_render(args) -> int:
     layout = layout_from_json(_read(args.layout))
-    _atomic_write(args.out, render_svg(layout))
-    print(f"wrote {args.out}")
+    _write(args.out, render_svg(layout))
+    if args.out != "-":
+        print(f"wrote {args.out}")
     return 0
 
 

@@ -2,7 +2,8 @@
 
 Graph format: a header ``n m``, then one ``u v`` line per edge; lines
 starting with ``v`` declare isolated vertices, ``#`` starts a comment.
-Layout JSON: {"kind", "pages", "spine", "assignment": {"u v": page}}.
+Layout JSON: {"kind", "pages", "spine": [...], "assignment": {"u v": page}},
+where the page count and every page are JSON integers.
 """
 
 from __future__ import annotations
@@ -83,15 +84,24 @@ def layout_to_dict(layout: LinearLayout) -> dict:
     }
 
 
+def _integer(value: object, what: str) -> int:
+    """``value`` if it is a JSON integer; floats and booleans are not."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def layout_from_dict(data: dict) -> LinearLayout:
     try:
         kind = LayoutKind(data["kind"])
-        pages = int(data["pages"])
+        pages = _integer(data["pages"], "pages")
+        if not isinstance(data["spine"], list) or not isinstance(data["assignment"], dict):
+            raise TypeError("spine must be an array and assignment an object")
         spine = tuple(str(v) for v in data["spine"])
         assignment = {}
         for key, p in data["assignment"].items():
             u, w = key.split()
-            assignment[(u, w) if u < w else (w, u)] = int(p)
+            assignment[(u, w) if u < w else (w, u)] = _integer(p, f"the page of {key!r}")
     except (KeyError, ValueError, TypeError) as exc:
         raise FormatError(f"malformed layout JSON: {exc}") from exc
     return LinearLayout(kind, pages, spine, assignment)

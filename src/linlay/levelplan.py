@@ -14,11 +14,13 @@ planarity: transitivity vs. even crossings").  Each same-level pair
 {u, v} has one boolean "u is left of v"; two edges between the same two
 levels with distinct lower ends a, c and distinct upper ends b, d cannot
 cross iff x(a, c) = x(b, d); each precedence pair the caller asks for
-sets one variable.  Union-find with parity decides the system in time
-near-linear in its size, and a contradiction rejects the instance before
-any order is enumerated.  Without precedence pairs the system is
-satisfiable exactly when the instance is level planar (both papers); with
-them it is only a necessary condition, so the search still decides.
+sets one variable.  ``OffsetUnionFind`` with offsets read mod 2 decides
+the system, each equation in time logarithmic in its size, and a
+contradiction rejects the instance before any order is enumerated.  The
+same class over the integers propagates the queue1 solver's levels.
+Without precedence pairs the system is satisfiable exactly when the
+instance is level planar (both papers); with them it is only a necessary
+condition, so the search still decides.
 ``parity_consistent`` takes a level map, edges and pairs rather than an
 instance, so the queue1 solver decides a relaxation of its derived
 instances with the same code before it builds them.
@@ -169,38 +171,58 @@ def _insert_everywhere(base: list[str], free: list[str]) -> Iterator[tuple[str, 
             yield tuple(out)
 
 
-class _ParityUnionFind:
-    """Union-find over boolean variables, each node storing the parity
-    (xor) of its value against its parent's; roots have no entry."""
+class OffsetUnionFind:
+    """Union-find over hashable nodes, each storing the offset of its value
+    against its parent's; roots have no entry.
 
-    def __init__(self) -> None:
-        self.parent: dict[object, object] = {}
-        self.parity: dict[object, int] = {}
+    Offsets are integers, and the group they are read in is fixed for the
+    instance: ``modulus`` 0 for the integers (the queue1 solver's levels),
+    2 for parities (the ordering-parity system).  Union by size keeps
+    every path short without compression, so ``rollback`` can undo the
+    unions made since a ``mark`` exactly.
+    """
 
-    def find(self, x: object) -> tuple[object, int]:
-        path = []
-        parity = 0
-        while x in self.parent:
-            path.append(x)
-            parity ^= self.parity[x]
-            x = self.parent[x]
-        rest = parity
-        for y in path:  # compress: point every node on the path at the root
-            own = self.parity[y]
-            self.parent[y] = x
-            self.parity[y] = rest
-            rest ^= own
-        return x, parity
+    def __init__(self, modulus: int = 0) -> None:
+        self.modulus = modulus
+        self.parent: dict = {}
+        self.offset: dict = {}  # value(x) - value(parent(x))
+        self.size: dict = {}  # of a root; absent means 1
+        self.trail: list = []  # (child, root) per union, newest last
 
-    def join(self, x: object, y: object, odd: int) -> bool:
-        """Impose value(x) xor value(y) = odd; False on contradiction."""
-        rx, px = self.find(x)
-        ry, py = self.find(y)
-        if rx == ry:
-            return px ^ py == odd
-        self.parent[rx] = ry
-        self.parity[rx] = px ^ py ^ odd
+    def find(self, x) -> tuple[object, int]:
+        """The root of ``x`` and value(x) - value(root)."""
+        parent, offset = self.parent, self.offset
+        off = 0
+        while x in parent:
+            off += offset[x]
+            x = parent[x]
+        return x, off
+
+    def union(self, u, v, d: int) -> bool:
+        """Impose value(v) - value(u) = d; False on a contradiction."""
+        ru, ou = self.find(u)
+        rv, ov = self.find(v)
+        if ru == rv:
+            gap = ov - ou - d
+            return gap % self.modulus == 0 if self.modulus else gap == 0
+        su, sv = self.size.get(ru, 1), self.size.get(rv, 1)
+        if su < sv:  # hang the smaller set: the same equation, read backwards
+            ru, ou, rv, ov, d = rv, ov, ru, ou, -d
+        self.parent[rv] = ru
+        self.offset[rv] = ou + d - ov
+        self.size[ru] = su + sv
+        self.trail.append((rv, ru))
         return True
+
+    def mark(self) -> int:
+        return len(self.trail)
+
+    def rollback(self, mark: int) -> None:
+        """Undo every union made since ``mark``, newest first."""
+        while len(self.trail) > mark:
+            child, root = self.trail.pop()
+            self.size[root] -= self.size.get(child, 1)
+            del self.parent[child], self.offset[child]
 
 
 _FALSE = None  # anchor node of the parity system, the constant 0
@@ -218,9 +240,9 @@ def parity_consistent(
     in ``before`` satisfies every equation and unit, so a contradiction
     proves that no such drawing exists.
     """
-    uf = _ParityUnionFind()
+    uf = OffsetUnionFind(modulus=2)
     for p, q in before:
-        if not uf.join((min(p, q), max(p, q)), _FALSE, int(p < q)):
+        if not uf.union((min(p, q), max(p, q)), _FALSE, int(p < q)):
             return False
     spans: dict[int, list[tuple[str, str]]] = {}
     for u, v in edges:
@@ -232,7 +254,7 @@ def parity_consistent(
             if a != c and b != d:
                 ac = (a, c) if a < c else (c, a)
                 bd = (b, d) if b < d else (d, b)
-                if not uf.join(ac, bd, (a < c) ^ (b < d)):
+                if not uf.union(ac, bd, (a < c) ^ (b < d)):
                     return False
     return True
 

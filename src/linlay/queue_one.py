@@ -13,15 +13,17 @@ components of a disconnected one and concatenates them).  It branches over
 the 4^m labelings in a fixed order (per edge: forward-ordinary,
 backward-ordinary, forward-arching, backward-arching) and returns the
 first branch that succeeds, pruning labeling prefixes whose level
-constraints are already contradictory; the union-find that decides them
-also gives each complete labeling its levels.  Each complete labeling
-states its arch side conditions as same-level precedence pairs and is
-first checked on a relaxation over the original vertices: the
-ordering-parity system of its ordinary arcs with those pairs.  Nearly
-every branch fails there, and only the survivors are reduced and handed,
-with the pairs, to the level-planarity tester.  The relaxation is implied
-by the framed instance's own system, so every branch's outcome is the
-one the tester alone would give.
+constraints are already contradictory.  The constraints live in
+``levelplan.OffsetUnionFind`` over the integers, whose rollback undoes a
+branch's union and which gives each complete labeling its levels.  Each
+complete labeling states its arch side conditions as same-level
+precedence pairs and is first checked on a relaxation over the original
+vertices: the ordering-parity system of its ordinary arcs with those
+pairs, decided by the same class over parities.  Nearly every branch
+fails there, and only the survivors are reduced and handed, with the
+pairs, to the level-planarity tester.  The relaxation is implied by the
+framed instance's own system, so every branch's outcome is the one the
+tester alone would give.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .levelplan import (
     LevelAssignment,
     LeveledGraph,
     LevelEmbedding,
+    OffsetUnionFind,
     Precedence,
     find_level_embedding,
     parity_consistent,
@@ -98,10 +101,21 @@ def level_assignment_from_labeling(g: Graph, lab: Labeling) -> LevelAssignment |
     """
     if g.n == 0:
         return LevelAssignment.build({})
-    dsu = _LevelDSU(g.vertices)
-    unions = [dsu.union(u, v, 1 if tag is ArcTag.ORDINARY else 0) for (u, v), tag in lab.items()]
-    levels = dsu.levels()
+    uf = OffsetUnionFind()
+    unions = [uf.union(u, v, 1 if tag is ArcTag.ORDINARY else 0) for (u, v), tag in lab.items()]
+    levels = _levels(uf, g.vertices)
     return levels if all(unions) else None
+
+
+def _levels(uf: OffsetUnionFind, vertices: tuple[str, ...]) -> LevelAssignment:
+    """The levels of ``vertices`` in ``uf``, shifted so the lowest is 1;
+    ValueError unless they are all in one set."""
+    found = [uf.find(v) for v in vertices]
+    root = found[0][0]
+    if any(r != root for r, _ in found):
+        raise ValueError("level assignment expects a connected graph")
+    low = min(off for _, off in found)
+    return LevelAssignment.build({v: off - low + 1 for v, (_, off) in zip(vertices, found)})
 
 
 # -- reduction to level planarity ---------------------------------------------
@@ -310,62 +324,6 @@ def embedding_to_queue_layout(
 # -- labeling search ----------------------------------------------------------
 
 
-class _LevelDSU:
-    """Union-find over vertices with level offsets, supporting rollback."""
-
-    def __init__(self, vertices):
-        self.parent = {v: v for v in vertices}
-        self.offset = {v: 0 for v in vertices}  # level(v) - level(parent(v))
-        self.size = {v: 1 for v in vertices}
-        self.trail: list[tuple[str, str]] = []
-
-    def find(self, v: str) -> tuple[str, int]:
-        off = 0
-        while self.parent[v] != v:
-            off += self.offset[v]
-            v = self.parent[v]
-        return v, off
-
-    def union(self, u: str, v: str, d: int) -> bool:
-        """Impose level(v) = level(u) + d; False on contradiction."""
-        ru, ou = self.find(u)
-        rv, ov = self.find(v)
-        if ru == rv:
-            return ov == ou + d
-        if self.size[ru] < self.size[rv]:
-            # attach ru under rv: level(ru) = level(rv) + (ou' ...)
-            self.parent[ru] = rv
-            self.offset[ru] = ov - d - ou
-            self.size[rv] += self.size[ru]
-            self.trail.append((ru, rv))
-        else:
-            self.parent[rv] = ru
-            self.offset[rv] = ou + d - ov
-            self.size[ru] += self.size[rv]
-            self.trail.append((rv, ru))
-        return True
-
-    def mark(self) -> int:
-        return len(self.trail)
-
-    def rollback(self, mark: int) -> None:
-        while len(self.trail) > mark:
-            child, root = self.trail.pop()
-            self.size[root] -= self.size[child]
-            self.parent[child] = child
-            self.offset[child] = 0
-
-    def levels(self) -> LevelAssignment:
-        """The levels, shifted so the lowest is 1; ValueError unless every
-        vertex is in one set."""
-        root, _ = self.find(next(iter(self.parent)))
-        if self.size[root] != len(self.parent):
-            raise ValueError("level assignment expects a connected graph")
-        offset = {v: self.find(v)[1] for v in self.parent}
-        low = min(offset.values())
-        return LevelAssignment.build({v: d - low + 1 for v, d in offset.items()})
-
-
 @dataclass
 class BranchResult:
     layout: LinearLayout | None
@@ -378,7 +336,7 @@ class BranchResult:
 def _solve_component(g: Graph) -> BranchResult:
     edges = g.edges
     m = len(edges)
-    dsu = _LevelDSU(g.vertices)
+    uf = OffsetUnionFind()
     tried = 0
     chosen: list[tuple[bool, ArcTag]] = []
 
@@ -389,7 +347,7 @@ def _solve_component(g: Graph) -> BranchResult:
             (e[1], e[0]) if flip else e for e, (flip, _) in zip(edges, chosen)
         )
         lab = Labeling(arcs, tuple(tag for _, tag in chosen))
-        levels = dsu.levels()
+        levels = _levels(uf, g.vertices)
         emb = _decide_branch(g, lab, levels)
         if emb is None:
             return None
@@ -401,11 +359,11 @@ def _solve_component(g: Graph) -> BranchResult:
     def arch_source_clash(a: str) -> bool:
         # two distinct arch sources already known to share a level doom
         # every completion of this prefix
-        ra, oa = dsu.find(a)
+        ra, oa = uf.find(a)
         for u2 in arch_sources:
             if u2 == a:
                 continue
-            ru, ou = dsu.find(u2)
+            ru, ou = uf.find(u2)
             if ru == ra and ou == oa:
                 return True
         return False
@@ -417,11 +375,11 @@ def _solve_component(g: Graph) -> BranchResult:
         for flip, tag in _EDGE_OPTIONS:
             d = 1 if tag is ArcTag.ORDINARY else 0
             a, b = (v, u) if flip else (u, v)
-            mark = dsu.mark()
-            if dsu.union(a, b, d):
+            mark = uf.mark()
+            if uf.union(a, b, d):
                 arching = tag is ArcTag.ARCHING
                 if arching and arch_source_clash(a):
-                    dsu.rollback(mark)
+                    uf.rollback(mark)
                     continue
                 if arching:
                     arch_sources.append(a)
@@ -431,9 +389,9 @@ def _solve_component(g: Graph) -> BranchResult:
                 if arching:
                     arch_sources.pop()
                 if result is not None:
-                    dsu.rollback(mark)
+                    uf.rollback(mark)
                     return result
-            dsu.rollback(mark)
+            uf.rollback(mark)
         return None
 
     result = rec(0)

@@ -11,6 +11,7 @@ from linlay.levelplan import (
     LevelAssignment,
     LevelError,
     LeveledGraph,
+    OffsetUnionFind,
     parity_consistent,
     find_level_embedding,
 )
@@ -180,3 +181,43 @@ def test_precedence_pairs_are_checked():
     path = leveled([("a", "b"), ("b", "c")], {"a": 1, "c": 1, "b": 2})
     assert find_level_embedding(path, before=[("c", "a")]).orders[1] == ("c", "a")
     assert find_level_embedding(path, before=[("c", "a"), ("a", "c")]) is None
+
+
+def set_sizes(uf, nodes):
+    return {x: uf.size.get(uf.find(x)[0], 1) for x in nodes}
+
+
+@pytest.mark.parametrize("modulus", [0, 2])
+def test_union_find_rollback_restores_finds_and_sizes(modulus):
+    nodes = "abcdefg"
+    uf = OffsetUnionFind(modulus)
+    assert uf.union("a", "b", 1) and uf.union("c", "d", 1)
+    before = [uf.find(x) for x in nodes], set_sizes(uf, nodes)
+    mark = uf.mark()
+    assert uf.union("b", "c", 1) and uf.union("e", "a", 0)
+    assert uf.union("f", "g", 1) and uf.union("g", "d", 1)
+    assert set(set_sizes(uf, nodes).values()) == {7}
+    uf.rollback(mark)
+    assert ([uf.find(x) for x in nodes], set_sizes(uf, nodes)) == before
+    uf.rollback(0)
+    assert [uf.find(x) for x in nodes] == [(x, 0) for x in nodes]
+    assert set(set_sizes(uf, nodes).values()) == {1}
+
+
+def test_union_find_over_the_integers_rejects_a_cycle_with_nonzero_sum():
+    uf = OffsetUnionFind()
+    assert uf.union("a", "b", 1) and uf.union("b", "c", 1)
+    assert not uf.union("c", "a", 0)
+    assert not uf.union("c", "a", -4)  # even, so only a parity would accept it
+    assert uf.union("c", "a", -2)
+    assert uf.find("c")[1] - uf.find("a")[1] == 2
+
+
+def test_union_find_over_parities_reads_offsets_mod_2():
+    uf = OffsetUnionFind(modulus=2)
+    assert uf.union("x", "y", 1) and uf.union("y", "z", 1)
+    assert uf.union("x", "z", 0)
+    assert not uf.union("x", "z", 1)
+    integers = OffsetUnionFind()
+    assert integers.union("x", "y", 1) and integers.union("y", "z", 1)
+    assert not integers.union("x", "z", 0)

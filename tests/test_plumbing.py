@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -185,3 +186,18 @@ def test_package_modules_use_every_imported_name():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def test_perfbench_span_targets_resolve():
+    """The benchmark's traced run rebinds these names of the package; a
+    renamed one would otherwise fail only there."""
+    path = Path(__file__).parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    names = [(module, attr) for module, attr, _, _ in spans.TARGETS]
+    names.append(("runner", "oracle_solver"))
+    missing = [f"linlay.{module}.{attr}" for module, attr in names
+               if not hasattr(importlib.import_module(f"linlay.{module}"), attr)]
+    assert missing == []
+    assert {"components", "induced"} <= vars(Graph).keys()

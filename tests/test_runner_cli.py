@@ -6,11 +6,12 @@ from pathlib import Path
 import pytest
 
 from linlay.cli import main
-from linlay.fileformats import layout_from_json, serialize_graph
+from linlay.fileformats import layout_from_json, layout_to_json, serialize_graph
 from linlay.generators import complete_graph, cycle_graph, random_gnm, twin_gadget
 from linlay.graphs import Graph, edge
-from linlay.layouts import LayoutKind, validate_layout
+from linlay.layouts import LayoutKind, LinearLayout, validate_layout
 from linlay.runner import RequestError, SolveRequest, run
+from linlay.svg import render_svg
 
 from naive import cycle_of
 
@@ -268,6 +269,44 @@ def test_cli_validate_layout_of_another_graph_exits_3(tmp_path, capsys):
     assert main(["oracle", c4_path, "--kind", "stack", "--pages", "1", "--out", layout_path]) == 0
     assert main(["validate", c5_path, layout_path]) == 3
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("assignment", "[]"),
+        ("spine", '"ab"'),
+        ("pages", "1e400"),
+        ("pages", "1.7"),
+        ("pages", "true"),
+        ("page", "1.7"),
+        ("page", "true"),
+    ],
+)
+def test_cli_validate_malformed_layout_exits_3(tmp_path, capsys, field, value):
+    """Layout JSON needs an array spine, an object assignment and JSON
+    integers for the page count and every page."""
+    path = write_graph(tmp_path, Graph.from_edges([("a", "b")]))
+    data = {"kind": "queue", "pages": 1, "spine": ["a", "b"], "assignment": {"a b": 1}}
+    if field == "page":
+        data["assignment"]["a b"] = "@"
+    else:
+        data[field] = "@"
+    layout_path = tmp_path / "bad.json"
+    layout_path.write_text(json.dumps(data).replace('"@"', value))
+    assert main(["validate", path, str(layout_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed layout JSON") and "Traceback" not in captured.err
+
+
+def test_cli_render_to_stdout_writes_only_the_svg(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    layout = LinearLayout(LayoutKind.QUEUE, 1, ("a", "b"), {("a", "b"): 1})
+    (tmp_path / "k2.json").write_text(layout_to_json(layout))
+    assert main(["render", "k2.json", "--out", "-"]) == 0
+    assert capsys.readouterr().out == render_svg(layout)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["k2.json"]
 
 
 def test_cli_vi_and_kernelize(tmp_path, capsys):
