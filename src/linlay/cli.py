@@ -66,6 +66,14 @@ def _at_least(least: int):
     return parse
 
 
+def _dump_path(text: str) -> str:
+    """Argument type: a dump file path; ``-`` is refused, since stdout
+    carries the JSON report."""
+    if text == "-":
+        raise argparse.ArgumentTypeError("cannot write to '-': stdout carries the JSON report")
+    return text
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error on one line and exits 3; exit 2 means a refusal."""
 
@@ -264,8 +272,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="oracle size guard")
     p.add_argument("--edge-guard", type=_at_least(0), default=DEFAULT_EDGE_GUARD,
                    help="queue1 labeling guard")
-    p.add_argument("--dump-states", default=None)
-    p.add_argument("--dump-branch", default=None)
+    p.add_argument("--dump-states", type=_dump_path, default=None)
+    p.add_argument("--dump-branch", type=_dump_path, default=None)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("vi", help="vertex integrity and witnessing separator")

@@ -10,8 +10,8 @@ layout exists iff the two sentinel states are connected.
 Every arc increases the processed side by exactly one vertex, so every
 sentinel-to-sentinel path has the same length and any reachability search
 returns a shortest (layer-monotone) path.  The search below is a
-deterministic depth-first traversal with a visited set; states are
-materialized on demand and never stored beyond the visited keys.
+deterministic depth-first traversal; states are materialized on demand,
+and the ``parents`` map holds each visited state and its arc.
 """
 
 from __future__ import annotations
@@ -268,41 +268,38 @@ def _mini_layout_valid(
     )
 
 
-@dataclass
-class _Ctx:
-    g: Graph
-    kind: LayoutKind
-    pages: int
-    width: int
-    states_seen: int = 0
-    arcs_seen: int = 0
-    dump: list[StateNode] | None = None
-
-
 def _successors(
-    ctx: _Ctx,
-    cut_edges: tuple[Edge, ...],
-    sources: tuple[str, ...],
-    sinks: tuple[str, ...],
-    pagevec: tuple[int, ...],
-    processed: frozenset[str],
-) -> Iterator[tuple[tuple, str, frozenset[str]]]:
-    """Arcs leaving a state, yielding raw successor frames.
+    g: Graph, kind: LayoutKind, pages: int, width: int, state: tuple
+) -> Iterator[tuple[tuple, str]]:
+    """Arcs leaving ``state``, yielding ``(successor, label)`` pairs.
+
+    A state is the tuple ``(cut edges, sources, sinks, page vector,
+    processed)`` and serves as its own key.  That key is sound: in a
+    connected graph the processed side of a nonempty cut is the source side
+    of the oriented cut (:func:`left_side`), so it adds nothing to the first
+    four entries, and the split of the endpoint order into sources and sinks
+    is fixed by the cut edges.  The two empty-cut sentinels are the only
+    states that share those entries, and ``processed`` (empty or all of V)
+    tells them apart.  The tuples therefore fall into the same classes as
+    the (edges, endpoint order, pages, sentinel) keys of :class:`StateNode`.
 
     Pair validity against the retained edges reduces to sink positions:
     the moved vertex becomes the rightmost source, so a new edge crosses a
-    retained same-page edge exactly when the retained sink lies strictly
-    left of the new one.  Retained-retained pairs were already valid in the
-    predecessor state and relative orders are preserved.
+    retained same-page edge of a stack exactly when the retained sink lies
+    strictly left of the new one, and nests with one of a queue exactly when
+    it lies strictly right.  Counting queue sink positions from the right,
+    both reduce to the new sink lying right of the page's ``bound``, its
+    smallest retained sink position.  Retained-retained pairs were already
+    valid in the predecessor state and relative orders are preserved.
     """
-    g = ctx.g
+    cut_edges, sources, sinks, pagevec, processed = state
     unprocessed = [v for v in g.vertices if v not in processed]
     endpoint = set(sources) | set(sinks)
     leftmost_sink = sinks[0] if sinks else None
     pages_by_edge = dict(zip(cut_edges, pagevec))
     snk_set = set(sinks)
-    stack_kind = ctx.kind is LayoutKind.STACK
-    cap = ctx.width * ctx.pages
+    stack_kind = kind is LayoutKind.STACK
+    cap = width * pages
     canonical = not cut_edges and not processed
 
     for v in unprocessed:
@@ -313,7 +310,7 @@ def _successors(
         k = len(new_edges)
         if not retained and not new_edges:
             if len(unprocessed) == 1:
-                yield ((), (), (), ()), v, frozenset(g.vertices)
+                yield ((), (), (), (), processed | {v}), v
             continue
         if len(retained) + k > cap:
             continue
@@ -327,46 +324,36 @@ def _successors(
         retained_pages = [pages_by_edge[e] for e in retained]
         retained_sink = [e[0] if e[0] in snk_set else e[1] for e in retained]
         new_sink = [e[0] if e[1] == v else e[1] for e in new_edges]
+        # each edge's retained page, 0 where a new edge takes the next combo entry
+        slots = [pages_by_edge.get(e, 0) for e in fy_edges]
         base_counts: dict[int, int] = {}
         for p in retained_pages:
             base_counts[p] = base_counts.get(p, 0) + 1
 
-        page_options = _page_combos(k, ctx.pages, base_counts, ctx.width, canonical)
+        page_options = _page_combos(k, pages, base_counts, width, canonical)
         if not page_options:
             continue
         for snk_order in _insert_everywhere(fixed_snks, new_snks):
-            tpos = {t: i for i, t in enumerate(snk_order)}
-            # per-page extreme retained sink positions
-            lo: dict[int, int] = {}
-            hi: dict[int, int] = {}
+            tpos = {t: i for i, t in enumerate(snk_order if stack_kind else reversed(snk_order))}
+            bound: dict[int, int] = {}
             for p, t in zip(retained_pages, retained_sink):
                 i = tpos[t]
-                if p not in lo or i < lo[p]:
-                    lo[p] = i
-                if p not in hi or i > hi[p]:
-                    hi[p] = i
+                if i < bound.get(p, i + 1):
+                    bound[p] = i
             new_tpos = [tpos[t] for t in new_sink]
             for combo in page_options:
-                ok = True
                 for p, i in zip(combo, new_tpos):
-                    if stack_kind:
-                        if p in lo and i > lo[p]:
-                            ok = False
-                            break
-                    else:
-                        if p in hi and i < hi[p]:
-                            ok = False
-                            break
-                if not ok:
-                    continue
-                page_map = dict(zip(retained, retained_pages))
-                page_map.update(zip(new_edges, combo))
-                yield (
-                    fy_edges,
-                    srcs_y,
-                    snk_order,
-                    tuple(page_map[e] for e in fy_edges),
-                ), v, next_processed
+                    if i > bound.get(p, i):
+                        break
+                else:
+                    fill = iter(combo)
+                    yield (
+                        fy_edges,
+                        srcs_y,
+                        snk_order,
+                        tuple(p or next(fill) for p in slots),
+                        next_processed,
+                    ), v
 
 
 def _page_combos(
@@ -518,66 +505,51 @@ def solve_bounded_width_report(
     if g.n == 0:
         return CutsetReport(LinearLayout(kind, pages, (), {}), False, 0, 0)
 
-    ctx = _Ctx(g, kind, pages, width, dump=[] if collect_states else None)
-    empty_frame = ((), (), (), ())
-    all_vertices = frozenset(g.vertices)
-
-    def frame_key(frame: tuple, processed: frozenset[str]) -> tuple:
-        edges, srcs, snks, pagevec = frame
-        return (edges, srcs + snks, pagevec, not edges and processed == all_vertices)
-
-    start_key = frame_key(empty_frame, frozenset())
-    goal_key = frame_key(empty_frame, all_vertices)
-    visited = {start_key}
-    parents: dict[tuple, tuple[tuple, str, tuple]] = {}
-    stack: list[tuple[tuple, frozenset[str]]] = [(empty_frame, frozenset())]
-    found = False
-    while stack and not found:
-        frame, processed = stack.pop()
-        edges, srcs, snks, pagevec = frame
-        succs = list(_successors(ctx, edges, srcs, snks, pagevec, processed))
-        ctx.arcs_seen += len(succs)
+    start = ((), (), (), (), frozenset())
+    goal = ((), (), (), (), frozenset(g.vertices))
+    parents: dict[tuple, tuple[tuple, str] | None] = {start: None}
+    stack = [start]
+    states_seen = arcs_seen = 0
+    dumped: list[StateNode] = []
+    while stack and goal not in parents:
+        state = stack.pop()
+        succs = list(_successors(g, kind, pages, width, state))
+        arcs_seen += len(succs)
         # reversed so the canonical-first successor is expanded first
-        for nxt, label, nproc in reversed(succs):
-            k = frame_key(nxt, nproc)
-            if k in visited:
+        for nxt, label in reversed(succs):
+            if nxt in parents:
                 continue
-            visited.add(k)
-            ctx.states_seen += 1
-            if ctx.dump is not None:
-                ne, ns, nk, np_ = nxt
-                ctx.dump.append(
-                    S_FULL if not ne and nproc == all_vertices
-                    else StateNode(OrientedCutSet(ne, ns + nk), np_)
+            parents[nxt] = (state, label)
+            states_seen += 1
+            if collect_states:
+                edges, srcs, snks, pagevec, _ = nxt
+                dumped.append(
+                    S_FULL if nxt == goal else StateNode(OrientedCutSet(edges, srcs + snks), pagevec)
                 )
-            parents[k] = (frame_key(frame, processed), label, nxt)
-            if k == goal_key:
-                found = True
+            if nxt == goal:
                 break
-            stack.append((nxt, nproc))
+            stack.append(nxt)
 
-    if not found:
-        return CutsetReport(
-            None, False, ctx.states_seen, ctx.arcs_seen, ctx.dump or []
-        )
+    if goal not in parents:
+        return CutsetReport(None, False, states_seen, arcs_seen, dumped)
 
     # reconstruct: spine = arc labels, pages = union of node assignments
     spine_rev: list[str] = []
     page_map: dict[Edge, int] = {}
-    k = goal_key
-    while k != start_key:
-        pk, label, frame = parents[k]
+    state = goal
+    while parents[state] is not None:
+        prev, label = parents[state]
         spine_rev.append(label)
-        for e, p in zip(frame[0], frame[3]):
+        for e, p in zip(state[0], state[3]):
             assert page_map.get(e, p) == p, "inconsistent page along the path"
             page_map[e] = p
-        k = pk
+        state = prev
     spine = tuple(reversed(spine_rev))
     layout = LinearLayout(kind, pages, spine, page_map)
     report = validate_layout(g, layout)
     assert report.ok, f"state-graph path produced an invalid layout: {report.violations!r}"
     assert page_width(layout) <= width
-    return CutsetReport(layout, False, ctx.states_seen, ctx.arcs_seen, ctx.dump or [])
+    return CutsetReport(layout, False, states_seen, arcs_seen, dumped)
 
 
 def solve_bounded_width(

@@ -216,16 +216,19 @@ def branch_side_filter(g: Graph, lab: Labeling, levels: LevelAssignment) -> list
     """
     lv = levels.levels
     arch_by_level: dict[int, tuple[str, set[str]]] = {}
+    climbers: set[str] = set()  # an ordinary arc (a, b) climbs from a to a's level + 1
     for (u, v), tag in lab.items():
         if tag is ArcTag.ARCHING:
             arch_by_level.setdefault(lv[u], (u, set()))[1].add(v)
+        else:
+            climbers.add(u)
     if not arch_by_level:
         return []
     pairs = [("f:l:0", "f:r:0")]
     for i, (source, targets) in sorted(arch_by_level.items()):
         row = [w for w in g.vertices if lv[w] == i]
         pairs.extend((_orig(source), _orig(w)) for w in row if w != source)
-        uppers = [w for w in row if any(lv[x] == i + 1 for x in g.adjacency[w])]
+        uppers = [w for w in row if w in climbers]
         pairs.extend((_orig(w), _orig(t)) for t in sorted(targets) for w in uppers if w != t)
     return pairs
 

@@ -18,6 +18,8 @@ SPACING = 60
 MARGIN = 40
 BASELINE_PAD = 30
 RADIUS = 9
+# vertex ids are any whitespace-free token, so the <text> content is escaped
+_XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
 
 
 def render_svg(layout: LinearLayout) -> str:
@@ -51,7 +53,7 @@ def render_svg(layout: LinearLayout) -> str:
         )
         parts.append(
             f'<text x="{x}" y="{base + 4}" font-size="10" text-anchor="middle" '
-            f'font-family="monospace">{v}</text>'
+            f'font-family="monospace">{v.translate(_XML_ESCAPES)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -23,9 +23,11 @@ from linlay.cutset import (
     solve_bounded_width_report,
     state_left_side,
 )
+from linlay.generators import cycle_graph, random_gnm
 from linlay.graphs import Graph
 from linlay.layouts import LayoutKind, LinearLayout, page_width, spanning_edges, validate_layout
 from linlay.oracle import OracleQuery, solve_exhaustive
+from linlay.runner import SolveRequest, run
 
 from naive import cycle_of, path_of, random_connected_graph, star_of
 
@@ -175,6 +177,37 @@ def test_bound_rejection_reported_distinctly(k5):
     tri = cycle_of("a", "b", "c")
     report2 = solve_bounded_width_report(tri, LayoutKind.QUEUE, 1, 1)
     assert report2.layout is None and not report2.bound_rejected
+
+
+@pytest.mark.parametrize(
+    "name, kind, pages, width, expected",
+    [
+        ("c6", LayoutKind.STACK, 2, 2, (True, 61, 61)),
+        ("c6", LayoutKind.QUEUE, 2, 2, (True, 59, 59)),
+        ("k33", LayoutKind.STACK, 1, 3, (False, 36, 36)),
+        ("k33", LayoutKind.QUEUE, 1, 3, (False, 36, 36)),
+        ("gnm_7_10_3", LayoutKind.STACK, 2, 2, (True, 231, 231)),
+    ],
+)
+def test_work_counters_pinned(name, kind, pages, width, expected):
+    # the search's states and arcs are deterministic; a refactor that keeps
+    # the expansion order keeps these numbers
+    g = {
+        "c6": cycle_graph(6),
+        "k33": Graph.from_edges([(a, b) for a in "abc" for b in "xyz"]),
+        "gnm_7_10_3": random_gnm(7, 10, 3),
+    }[name]
+    rep = solve_bounded_width_report(g, kind, pages, width)
+    assert not rep.bound_rejected
+    assert (rep.layout is not None, rep.states_seen, rep.arcs_seen) == expected
+
+
+def test_work_counters_sum_over_components():
+    # a C5 (36 states and arcs) beside a triangle (15 and 15)
+    g = Graph.from_edges(list(cycle_graph(5).edges) + [("z0", "z1"), ("z1", "z2"), ("z2", "z0")])
+    rep = run(SolveRequest(g, "cutset", LayoutKind.STACK, 2, 2))
+    assert rep.verdict == "found"
+    assert rep.counters == {"states": 51, "arcs": 51}
 
 
 def test_solver_requires_connected_input():
@@ -354,7 +387,7 @@ def _mini_layout_is_valid(g, s, kind, pages, width):
 def test_successors_agree_with_literal_arc_conditions():
     # the on-demand successor generator must produce exactly the pairs the
     # literal arc conditions admit, over the full enumerated state space
-    from linlay.cutset import _Ctx, _successors
+    from linlay.cutset import _successors
     from naive import cycle_of, path_of
 
     cases = [
@@ -370,7 +403,6 @@ def test_successors_agree_with_literal_arc_conditions():
             s for s in enumerate_states(g, pages, width, kind)
             if _mini_layout_is_valid(g, s, kind, pages, width)
         ]
-        ctx = _Ctx(g, kind, pages, width)
         for sx in states:
             if sx.processed_all:
                 continue
@@ -379,10 +411,8 @@ def test_successors_agree_with_literal_arc_conditions():
                 continue
             srcs, snks = ((), ()) if sx.is_sentinel else sx.cut.sources_and_sinks()
             got = {}
-            for frame, label, nproc in _successors(
-                ctx, sx.cut.edges, srcs, snks, sx.page_of, processed
-            ):
-                edges, fs, ks, pv = frame
+            state = (sx.cut.edges, srcs, snks, sx.page_of, processed)
+            for (edges, fs, ks, pv, _), label in _successors(g, kind, pages, width, state):
                 if edges:
                     node = StateNode(OrientedCutSet(edges, fs + ks), pv)
                 else:

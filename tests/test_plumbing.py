@@ -166,6 +166,18 @@ def test_svg_golden_file_byte_equality():
     assert render_svg(stack) == golden.read_text()
 
 
+def test_svg_escapes_vertex_ids():
+    # parse_graph accepts any whitespace-free token as a vertex id
+    import xml.etree.ElementTree as ET
+
+    g = parse_graph('3 2\na&b c<d\nc<d e>"f\n')
+    layout = solve_exhaustive(OracleQuery(g, LayoutKind.STACK, 1))
+    root = ET.fromstring(render_svg(layout))
+    texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+    assert texts == list(layout.spine)
+    assert sorted(texts) == ['a&b', 'c<d', 'e>"f']
+
+
 def test_package_modules_use_every_imported_name():
     """An imported name that its module never references is dead code."""
     unused = []
@@ -186,6 +198,39 @@ def test_package_modules_use_every_imported_name():
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                    if name not in used]
     assert unused == []
+
+
+def test_package_top_level_names_are_referenced():
+    """A top-level function, class or assigned name of the package that
+    nothing in src/, tests/ or perfbench/ names is a dead helper.  Methods
+    are out of scope (argparse calls ``_Parser.error``)."""
+    root = Path(__file__).parents[1]
+    package = sorted(Path(linlay.__file__).parent.glob("*.py"))
+    sources = sorted({*package, *root.glob("tests/*.py"), *root.glob("perfbench/*.py")})
+    used: set[str] = set()
+    defined: list[tuple[str, str]] = []
+    for path in sources:
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name.split(".")[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)  # perfbench names its span targets as strings
+        if path not in package:
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.append((path.name, node.name))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [(path.name, t.id) for t in targets if isinstance(t, ast.Name)]
+    dead = [f"{module} {name}" for module, name in defined
+            if name not in used and not name.startswith("__")]
+    assert dead == []
 
 
 def test_perfbench_span_targets_resolve():

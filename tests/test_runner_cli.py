@@ -210,6 +210,23 @@ def test_cli_invalid_arguments_exit_3(tmp_path, capsys, argv):
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "algo, kind, flag",
+    [("cutset", "stack", "--dump-states"), ("queue1", "queue", "--dump-branch")],
+)
+def test_cli_dump_to_dash_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch, algo, kind, flag):
+    # stdout carries the JSON report, so '-' cannot name the dump
+    path = write_graph(tmp_path, cycle_graph(5))
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", path, "--algo", algo, "--kind", kind, "--pages", "1", flag, "-"])
+    assert exc.value.code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1 and flag in captured.err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["g.graph"]
+
+
 @pytest.mark.parametrize("suffix", ["", "/"])
 def test_cli_failed_write_leaves_no_temporary_file(tmp_path, capsys, suffix):
     path = write_graph(tmp_path, cycle_graph(5))
