@@ -38,10 +38,13 @@ from .svg import render_svg
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path) as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not readable as text ({exc})") from None
 
 
 def _write(path: str | None, data: str) -> None:

@@ -4,8 +4,9 @@ Input graphs have every vertex on an integer level and every edge between
 consecutive levels.  The tester searches per-level left-to-right orders
 bottom-up: given the order of level i, the admissible orders of level i+1
 are forced up to permuting vertices whose neighborhoods below coincide in a
-single position and inserting vertices with no neighbor below.  Components
-are handled independently and drawn side by side.
+single position and inserting vertices with no neighbor below.  Without
+precedence pairs, components are handled independently and drawn side by
+side.
 
 Before that search starts, the tester decides the ordering-parity system
 of the instance (Randerath et al. 2001, "A satisfiability formulation of
@@ -22,8 +23,8 @@ Without precedence pairs the system is satisfiable exactly when the
 instance is level planar (both papers); with them it is only a necessary
 condition, so the search still decides.
 ``parity_consistent`` takes a level map, edges and pairs rather than an
-instance, so the queue1 solver decides a relaxation of its derived
-instances with the same code before it builds them.
+instance, so the queue1 solver decides each branch's system with the same
+code before it builds the branch's instance.
 
 Correctness is the contract here, not the linear running time of the
 published level-planarity algorithms; instances in this package arrive
@@ -311,10 +312,11 @@ def find_level_embedding(
     """A crossing-free proper-level drawing as per-level orders, or None.
 
     Every pair (p, q) in ``before`` names two vertices of one level, and
-    the drawing must place p left of q.  Pairs need a connected instance
-    (ValueError once the search starts on a disconnected one): with
-    several components a level's final order concatenates the components'
-    rows, which no per-component search can order.
+    the drawing must place p left of q.  Without pairs the components are
+    drawn one by one, side by side; a pair may join two components' rows,
+    so with pairs the whole instance is searched as one unit.  That search
+    is complete on a disconnected instance too, since a vertex with no
+    neighbor below may go anywhere in its row.
 
     The ordering-parity system is decided first.  It is sound as a
     rejection: a crossing-free drawing that honours ``before`` makes every
@@ -334,9 +336,7 @@ def find_level_embedding(
         before_by_level.setdefault(lv[p], []).append((p, q))
     if not parity_consistent(lv, lg.graph.edges, before):
         return None
-    comps = lg.graph.components()
-    if before and len(comps) > 1:
-        raise ValueError("precedence pairs need a connected instance")
+    comps = [lg.graph.vertices] if before else lg.graph.components()
     merged: dict[int, list[str]] = {i: [] for i in range(1, lg.levels.h + 1)}
     for comp in comps:
         part = _solve_component(lg, comp, before_by_level)

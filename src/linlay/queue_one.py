@@ -3,10 +3,12 @@
 A labeling orients every edge and tags it ordinary (step up one level) or
 arching (stay on the level).  Each consistent labeling determines a level
 assignment up to shift; the graph then has a queue layout inducing that
-labeling iff a derived proper-leveled instance is level planar.  The
-derived instance wraps the graph in a frame cycle and attaches each
-arching source to the frame's left side and each arching target to its
-right side, which pins exactly the freedoms the arches need.
+labeling iff its ordinary arcs, at those levels, have a level drawing
+that meets the arches' side conditions: the arch source first on its
+level, and every arch target at or right of the last vertex with a
+neighbor one level up.  The conditions are same-level precedence pairs
+(``branch_side_filter``), so each branch is a level-planarity instance
+with pairs, and the spine is the drawing's rows, each reversed, bottom-up.
 
 The solver takes a connected graph (``linlay.runner`` lays out the
 components of a disconnected one and concatenates them).  It branches over
@@ -16,14 +18,12 @@ first branch that succeeds, pruning labeling prefixes whose level
 constraints are already contradictory.  The constraints live in
 ``levelplan.OffsetUnionFind`` over the integers, whose rollback undoes a
 branch's union and which gives each complete labeling its levels.  Each
-complete labeling states its arch side conditions as same-level
-precedence pairs and is first checked on a relaxation over the original
-vertices: the ordering-parity system of its ordinary arcs with those
-pairs, decided by the same class over parities.  Nearly every branch
-fails there, and only the survivors are reduced and handed, with the
-pairs, to the level-planarity tester.  The relaxation is implied by the
-framed instance's own system, so every branch's outcome is the one the
-tester alone would give.
+complete labeling is first checked on its instance's ordering-parity
+system with the pairs, decided by the same class over parities.  Nearly
+every branch fails there, and only the survivors are built and handed,
+with the pairs, to the level-planarity tester, which decides the same
+system first; so every branch's outcome is the one the tester alone would
+give.
 """
 
 from __future__ import annotations
@@ -118,101 +118,50 @@ def _levels(uf: OffsetUnionFind, vertices: tuple[str, ...]) -> LevelAssignment:
     return LevelAssignment.build({v: off - low + 1 for v, (_, off) in zip(vertices, found)})
 
 
-# -- reduction to level planarity ---------------------------------------------
-#
-# Vertex naming in the derived instance:
-#   g:<v>        original vertex
-#   d:<u>|<v>    subdivision of the ordinary edge uv (canonical order)
-#   f:bot f:top  frame bottom / top
-#   f:l:<i>      left frame vertex between original levels i and i+1
-#   f:r:<i>      right frame vertex between original levels i and i+1
-#   d:f:l:<i>    subdivision of the left frame edge crossing original level i
-#
-# Original level x maps to 2x+1, the half level between x and x+1 to 2x+2;
-# the frame bottom sits at 1 and the top at 2h+3.
-
-
-def _orig(v: str) -> str:
-    return f"g:{v}"
+# -- deciding one branch ------------------------------------------------------
 
 
 def reduce_to_level_planarity(
     g: Graph, lab: Labeling, levels: LevelAssignment
 ) -> LeveledGraph | None:
-    """The framed proper-leveled instance for one labeling branch.
+    """The level-planarity instance of one labeling branch: every vertex of
+    ``g`` at its labeling level, with the ordinary arcs as edges.
 
-    Returns None immediately when two distinct vertices on one level would
-    need to attach to the left frame side (two arching sources per level).
+    The arches are not edges of the instance; ``branch_side_filter`` states
+    them as precedence pairs.  Returns None when two distinct vertices of
+    one level are arch sources, since both would have to come first on it.
     """
     lv = levels.levels
-    h = levels.h
     arch_source: dict[int, str] = {}
+    ordinary = []
     for (u, v), tag in lab.items():
         if tag is ArcTag.ARCHING:
-            i = lv[u]
-            if arch_source.setdefault(i, u) != u:
+            if arch_source.setdefault(lv[u], u) != u:
                 return None
-    out_levels: dict[str, int] = {}
-    edges: set[tuple[str, str]] = set()
-
-    for v in g.vertices:
-        out_levels[_orig(v)] = 2 * lv[v] + 1
-    for (u, v), tag in lab.items():
-        if tag is ArcTag.ORDINARY:
-            lo = u if lv[u] < lv[v] else v
-            hi = v if lo == u else u
-            mid = f"d:{min(u, v)}|{max(u, v)}"
-            out_levels[mid] = 2 * lv[lo] + 2
-            edges.add((_orig(lo), mid))
-            edges.add((mid, _orig(hi)))
-
-    out_levels["f:bot"] = 1
-    out_levels["f:top"] = 2 * h + 3
-    for i in range(0, h + 1):
-        out_levels[f"f:l:{i}"] = 2 * i + 2
-        out_levels[f"f:r:{i}"] = 2 * i + 2
-    edges.add(("f:bot", "f:l:0"))
-    edges.add(("f:bot", "f:r:0"))
-    edges.add((f"f:l:{h}", "f:top"))
-    edges.add((f"f:r:{h}", "f:top"))
-    for i in range(0, h):
-        for side in "lr":
-            mid = f"d:f:{side}:{i + 1}"
-            out_levels[mid] = 2 * (i + 1) + 1
-            edges.add((f"f:{side}:{i}", mid))
-            edges.add((mid, f"f:{side}:{i + 1}"))
-
-    for (u, v), tag in lab.items():
-        if tag is ArcTag.ARCHING:
-            i = lv[u]
-            edges.add((_orig(u), f"f:l:{i - 1}"))
-            edges.add((_orig(u), f"f:l:{i}"))
-            edges.add((_orig(v), f"f:r:{i}"))
-
-    derived = Graph.from_edges(edges, isolated=set(out_levels))
-    return LeveledGraph(derived, LevelAssignment.build(out_levels))
+        else:
+            ordinary.append((u, v))
+    return LeveledGraph(Graph.build(g.vertices, ordinary), levels)
 
 
 def branch_side_filter(g: Graph, lab: Labeling, levels: LevelAssignment) -> list[Precedence]:
-    """Same-level precedence pairs pinning the arch side conditions.
+    """Same-level precedence pairs (p, q), "p left of q", that state the
+    arch side conditions of one branch:
 
-    Level planarity of the framed instance alone does not force arch
-    targets to stay inside the frame: a target hangs on the right chain by
-    a single edge, so a drawing may park it (and its subtree) outside,
-    violating the at-or-right-of-the-upward-vertices rule.  The conditions
-    are properties of one level's order, and a drawing satisfying them
-    always exists when some arched embedding induces this labeling.  As
-    pairs (p, q), "p left of q", they are:
-
-    * the left frame vertex before the right one on level 2, which fixes
-      the drawing's reflection;
-    * on each arch level, the arch source before every other original
-      vertex of the level;
-    * on each arch level, every vertex with a neighbor one level up
-      before every arch target other than itself.
+    * on each arch level, the arch source before every other vertex of the
+      level;
+    * on each arch level, every vertex with a neighbor one level up before
+      every arch target other than itself.
 
     A row honours all pairs of its level exactly when it meets the
     conditions.  Empty when nothing arches.
+
+    Why the conditions are the arches' whole contribution: the spine is
+    each level's row reversed, bottom-up.  Two ordinary arcs between the
+    same two levels nest on the spine exactly when they cross in the
+    drawing.  An arch (u, v) on level i has u last in its spine block, so
+    it is nested only by an ordinary arc that leaves level i from a vertex
+    w placed before v on the spine, that is, right of v in the row.  Every
+    other pair of edges is disjoint, shares an endpoint, or crosses.
     """
     lv = levels.levels
     arch_by_level: dict[int, tuple[str, set[str]]] = {}
@@ -222,50 +171,33 @@ def branch_side_filter(g: Graph, lab: Labeling, levels: LevelAssignment) -> list
             arch_by_level.setdefault(lv[u], (u, set()))[1].add(v)
         else:
             climbers.add(u)
-    if not arch_by_level:
-        return []
-    pairs = [("f:l:0", "f:r:0")]
+    pairs = []
     for i, (source, targets) in sorted(arch_by_level.items()):
         row = [w for w in g.vertices if lv[w] == i]
-        pairs.extend((_orig(source), _orig(w)) for w in row if w != source)
+        pairs.extend((source, w) for w in row if w != source)
         uppers = [w for w in row if w in climbers]
-        pairs.extend((_orig(w), _orig(t)) for t in sorted(targets) for w in uppers if w != t)
+        pairs.extend((w, t) for t in sorted(targets) for w in uppers if w != t)
     return pairs
 
 
-def _relaxation_consistent(
-    lab: Labeling, levels: LevelAssignment, pairs: list[Precedence]
-) -> bool:
-    """The ordering-parity system of one branch restricted to the original
-    vertices at the labeling's levels: the side pairs ``pairs`` of
-    ``branch_side_filter`` without the frame pair (their first) and with
-    the ``g:`` prefix dropped, and x(a, c) = x(b, d) for every two
-    ordinary arcs a->b and c->d with the same lower level, a != c and
-    b != d.
-
-    Sound as a rejection.  In the framed instance the arcs become the
-    paths a - d:ab - b and c - d:cd - d, whose four edges give
-    x(a, c) = x(d:ab, d:cd) and x(d:ab, d:cd) = x(b, d); the side pairs
-    other than the frame pair are units of that system too.  So every
-    solution of the framed system restricts to a solution of this one, and
-    when this one has none, ``find_level_embedding`` would reject the
-    branch on its own parity check.
-    """
-    ordinary = [arc for arc, tag in lab.items() if tag is ArcTag.ORDINARY]
-    return parity_consistent(levels.levels, ordinary, ((p[2:], q[2:]) for p, q in pairs[1:]))
-
-
 def _decide_branch(g: Graph, lab: Labeling, levels: LevelAssignment) -> LevelEmbedding | None:
-    """A drawing of the branch's framed instance that meets the arch side
-    conditions, or None.  The relaxation over the original graph rejects
-    most branches before the instance is built."""
+    """A drawing of the branch's ordinary arcs that honours its side pairs,
+    or None.
+
+    By ``branch_side_filter``'s argument, a branch succeeds exactly when
+    such a drawing exists: the source first on each arch level, and every
+    upward vertex before every other arch target.  The instance's own
+    ordering-parity system is decided first, on the level map alone, and
+    rejects nearly every branch before the instance is built.
+    """
     pairs = branch_side_filter(g, lab, levels)
-    if not _relaxation_consistent(lab, levels, pairs):
+    ordinary = [arc for arc, tag in lab.items() if tag is ArcTag.ORDINARY]
+    if not parity_consistent(levels.levels, ordinary, pairs):
         return None
-    derived = reduce_to_level_planarity(g, lab, levels)
-    if derived is None:
+    instance = reduce_to_level_planarity(g, lab, levels)
+    if instance is None:
         return None
-    return find_level_embedding(derived, before=pairs)
+    return find_level_embedding(instance, before=pairs)
 
 
 def branch_accepts(g: Graph, lab: Labeling, levels: LevelAssignment) -> bool:
@@ -277,46 +209,27 @@ def branch_accepts(g: Graph, lab: Labeling, levels: LevelAssignment) -> bool:
 def embedding_to_queue_layout(
     g: Graph, lab: Labeling, levels: LevelAssignment, emb: LevelEmbedding
 ) -> LinearLayout:
-    """Queue layout from a positive derived instance.
+    """Queue layout from a drawing of a branch's instance.
 
-    Per-level orders of the original vertices are read off the drawing
-    (normalizing a possible global reflection using the frame), the arched
-    side conditions are re-verified, and the spine concatenates the
-    reversed per-level orders bottom-up.
+    The arched side conditions are re-verified on the drawing's rows, and
+    the spine concatenates the reversed rows bottom-up.
     """
-    arch_arcs = [(u, v) for (u, v), tag in lab.items() if tag is ArcTag.ARCHING]
-    reflect = False
-    if arch_arcs:
-        row = emb.orders.get(2, ())
-        li, ri = row.index("f:l:0"), row.index("f:r:0")
-        reflect = li > ri
-    orders: dict[int, list[str]] = {}
-    for i in range(1, levels.h + 1):
-        row = emb.orders.get(2 * i + 1, ())
-        if reflect:
-            row = row[::-1]
-        orders[i] = [v[2:] for v in row if v.startswith("g:")]
     lv = levels.levels
-
-    for u, v in arch_arcs:
+    for (u, v), tag in lab.items():
+        if tag is not ArcTag.ARCHING:
+            continue
         i = lv[u]
-        row = orders[i]
+        row = emb.orders.get(i, ())
         if not row or row[0] != u:
             raise QueueSolverError(f"arching source {u!r} is not leftmost on its level")
         pos = {w: j for j, w in enumerate(row)}
-        uppers = [
-            w for w in row
-            if any(lv.get(x) == i + 1 for x in g.neighbors(w))
-        ]
-        anchor = pos[uppers[-1]] if uppers else 0
-        if pos[v] < anchor:
-            raise QueueSolverError(
-                f"arching target {v!r} lies left of the last upward vertex"
-            )
+        uppers = [w for w in row if any(lv[x] == i + 1 for x in g.neighbors(w))]
+        if pos[v] < (pos[uppers[-1]] if uppers else 0):
+            raise QueueSolverError(f"arching target {v!r} lies left of the last upward vertex")
 
     spine: list[str] = []
     for i in range(1, levels.h + 1):
-        spine.extend(reversed(orders[i]))
+        spine.extend(reversed(emb.orders.get(i, ())))
     layout = LinearLayout(LayoutKind.QUEUE, 1, tuple(spine), {e: 1 for e in g.edges})
     report = validate_layout(g, layout)
     if not report.ok:

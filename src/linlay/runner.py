@@ -181,7 +181,8 @@ def _solve_kernel(req: SolveRequest) -> tuple[LinearLayout | None, dict[str, int
     else:
         def inner(h: Graph, kind: LayoutKind, pages: int) -> LinearLayout | None:
             layout, sub_counters, _ = _solve_cutset(SolveRequest(h, "cutset", kind, pages))
-            counters["states"] = counters.get("states", 0) + sub_counters["states"]
+            for key, value in sub_counters.items():
+                counters[key] = counters.get(key, 0) + value
             return layout
 
     if cert.covers_whole_graph(g):

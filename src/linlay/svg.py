@@ -3,7 +3,7 @@ one color per page.  Output bytes are deterministic for a fixed layout."""
 
 from __future__ import annotations
 
-from .layouts import LinearLayout
+from .layouts import LayoutDomainError, LinearLayout
 
 PAGE_COLORS = (
     "#4472c4",  # blue
@@ -23,8 +23,22 @@ _XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quo
 
 
 def render_svg(layout: LinearLayout) -> str:
+    """The layout's SVG; LayoutDomainError when the layout contradicts
+    itself: a repeated spine vertex, a self-loop, an edge with an endpoint
+    off the spine or a page outside 1..page_count."""
     n = len(layout.spine)
     pos = {v: MARGIN + i * SPACING for i, v in enumerate(layout.spine)}
+    if len(pos) != n:
+        raise LayoutDomainError("the spine repeats a vertex")
+    for (u, w), page in layout.pages.items():
+        if u == w:
+            raise LayoutDomainError(f"self-loop at {u}")
+        if u not in pos or w not in pos:
+            raise LayoutDomainError(f"edge {u}-{w} has an endpoint that is not on the spine")
+        if not 1 <= page <= layout.page_count:
+            raise LayoutDomainError(
+                f"edge {u}-{w} is on page {page}, outside 1..{layout.page_count}"
+            )
     max_span = max(
         (abs(pos[u] - pos[w]) for u, w in layout.pages), default=SPACING
     )

@@ -8,7 +8,7 @@ level has no upward edges).  Used to cross-check the reduction-based
 solver branch by branch.
 
 ``side_conditions_accept`` states the same arch conditions on one row of
-the framed instance, as a direct per-row predicate; it cross-checks the
+original vertices, as a direct per-row predicate; it cross-checks the
 precedence pairs of ``branch_side_filter`` row by row.
 """
 
@@ -62,34 +62,25 @@ def arched_embedding_exists(g, lab, levels) -> bool:
 
 
 def side_conditions_accept(g, lab, levels, level: int, row: tuple[str, ...]) -> bool:
-    """Whether one row of the framed instance meets the arch side conditions.
+    """Whether one row of original vertices meets the arch side conditions.
 
-    Derived level 2 must put the left frame vertex before the right one;
-    on the derived level of an original arch level, the arch source comes
-    first among the original vertices and every arch target sits at or
-    right of the last original vertex with a neighbor one level up.
-    Every row passes when nothing arches.
+    On an arch level the arch source comes first and every arch target
+    sits at or right of the last vertex with a neighbor one level up.
+    Every row passes on a level without arches.
     """
     lv = levels.levels
     arch_by_level: dict[int, tuple[str, set[str]]] = {}
     for (u, v), tag in lab.items():
         if tag is ArcTag.ARCHING:
             arch_by_level.setdefault(lv[u], (u, set()))[1].add(v)
-    if not arch_by_level:
+    if level not in arch_by_level:
         return True
-    if level == 2:
-        return row.index("f:l:0") < row.index("f:r:0")
-    if level % 2 == 1 and (level - 1) // 2 in arch_by_level:
-        i = (level - 1) // 2
-        origs = [v[2:] for v in row if v.startswith("g:")]
-        source, targets = arch_by_level[i]
-        if not origs or origs[0] != source:
-            return False
-        uppers = {w for w in g.vertices if lv[w] == i and any(lv[x] == i + 1 for x in g.adjacency[w])}
-        last_upper = -1
-        for j, w in enumerate(origs):
-            if w in uppers:
-                last_upper = j
-        pos = {w: j for j, w in enumerate(origs)}
-        return all(pos[t] >= last_upper for t in targets)
-    return True
+    source, targets = arch_by_level[level]
+    if not row or row[0] != source:
+        return False
+    last_upper = -1
+    for j, w in enumerate(row):
+        if any(lv[x] == level + 1 for x in g.adjacency[w]):
+            last_upper = j
+    pos = {w: j for j, w in enumerate(row)}
+    return all(pos[t] >= last_upper for t in targets)

@@ -149,7 +149,7 @@ def test_parity_system_decides_level_planarity_without_pairs():
 def test_parity_system_admits_every_drawing_that_honours_the_pairs():
     rng = random.Random(41)
     outcomes = set()
-    searched = 0
+    disconnected = 0
     for _ in range(600):
         lg = random_leveled(rng, max_edges=10)
         lv = lg.levels.levels
@@ -161,23 +161,24 @@ def test_parity_system_admits_every_drawing_that_honours_the_pairs():
         if honoured:
             assert parity_consistent(lv, lg.graph.edges, before), (lg.graph.edges, lv, before)
         outcomes.add((honoured, parity_consistent(lv, lg.graph.edges, before)))
-        if lg.graph.is_connected():
-            emb = find_level_embedding(lg, before=before)
-            assert (emb is not None) == honoured, (lg.graph.edges, lv, before)
-            if emb is not None:
-                pos = {v: i for row in emb.orders.values() for i, v in enumerate(row)}
-                assert all(pos[p] < pos[q] for p, q in before)
-            searched += 1
+        emb = find_level_embedding(lg, before=before)
+        assert (emb is not None) == honoured, (lg.graph.edges, lv, before)
+        if emb is not None:
+            pos = {v: i for row in emb.orders.values() for i, v in enumerate(row)}
+            assert all(pos[p] < pos[q] for p, q in before)
+        disconnected += not lg.graph.is_connected()
     assert outcomes >= {(True, True), (False, False)}
-    assert searched > 0
+    assert disconnected > 0
 
 
 def test_precedence_pairs_are_checked():
     lg = leveled([("a", "b"), ("x", "y")], {"a": 1, "b": 2, "x": 1, "y": 2})
     with pytest.raises(LevelError):
         find_level_embedding(lg, before=[("a", "b")])
-    with pytest.raises(ValueError):
-        find_level_embedding(lg, before=[("a", "x")])
+    # a pair may join two components' rows: the instance is searched as one
+    assert find_level_embedding(lg, before=[("a", "x")]).orders == {1: ("a", "x"), 2: ("b", "y")}
+    assert find_level_embedding(lg, before=[("x", "a")]).orders == {1: ("x", "a"), 2: ("y", "b")}
+    assert find_level_embedding(lg, before=[("x", "a"), ("b", "y")]) is None
     path = leveled([("a", "b"), ("b", "c")], {"a": 1, "c": 1, "b": 2})
     assert find_level_embedding(path, before=[("c", "a")]).orders[1] == ("c", "a")
     assert find_level_embedding(path, before=[("c", "a"), ("a", "c")]) is None

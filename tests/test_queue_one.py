@@ -8,7 +8,7 @@ from linlay.graphs import Graph
 from linlay import levelplan, queue_one
 from linlay.generators import random_gnm
 from linlay.layouts import LayoutKind, validate_layout
-from linlay.levelplan import find_level_embedding
+from linlay.levelplan import LevelAssignment, find_level_embedding
 from linlay.oracle import OracleQuery, solve_exhaustive
 from linlay.queue_one import (
     ArcTag,
@@ -111,32 +111,36 @@ def test_labeling_enumeration_counts():
         assert len({(l.arcs, l.tags) for l in labs}) == len(labs)
 
 
-def test_reduction_without_arches_is_frame_plus_subdivision():
-    g = Graph.from_edges([("a", "b")])
-    lab = lab_of(("a", "b", "ord"))
+def test_reduction_without_arches_is_the_graph_at_its_levels():
+    g = path_of("a", "b", "c")
+    lab = lab_of(("a", "b", "ord"), ("c", "b", "ord"))
     levels = level_assignment_from_labeling(g, lab)
-    derived = reduce_to_level_planarity(g, lab, levels)
-    assert derived is not None
-    names = set(derived.graph.vertices)
-    assert {"g:a", "g:b", "d:a|b", "f:bot", "f:top"} <= names
-    # frame is disconnected from the subdivided graph when nothing arches
-    comps = derived.graph.components()
-    assert len(comps) == 2
-    derived.check_proper()
+    instance = reduce_to_level_planarity(g, lab, levels)
+    assert instance is not None
+    assert instance.graph == g
+    assert instance.levels == levels == LevelAssignment.build({"a": 1, "b": 2, "c": 1})
+    instance.check_proper()
 
 
-def test_reduction_gadget_edges_for_arch():
+def test_reduction_keeps_only_the_ordinary_arcs():
     g, lab = arched_fixture()
     levels = level_assignment_from_labeling(g, lab)
-    derived = reduce_to_level_planarity(g, lab, levels)
-    assert derived is not None
-    es = set(derived.graph.edges)
-    # the level-2 arch t->a pins t to the left frame (one level below and
-    # one above) and a to the right frame above
-    assert ("f:l:1", "g:t") in es
-    assert ("f:l:2", "g:t") in es
-    assert ("f:r:2", "g:a") in es
-    assert derived.graph.is_connected()
+    instance = reduce_to_level_planarity(g, lab, levels)
+    assert instance is not None
+    # the level-2 arch t->a is no edge of the instance; its side
+    # conditions reach the tester as precedence pairs
+    assert instance.graph.vertices == g.vertices
+    assert instance.graph.edges == (("a", "r"), ("a", "w"), ("r", "t"))
+    assert instance.levels == levels
+    assert branch_side_filter(g, lab, levels) == [("t", "a")]
+    # dropping the arches can disconnect the instance
+    g2 = path_of("a", "b", "c")
+    lab2 = lab_of(("a", "b", "arch"), ("b", "c", "ord"))
+    levels2 = level_assignment_from_labeling(g2, lab2)
+    instance2 = reduce_to_level_planarity(g2, lab2, levels2)
+    assert instance2.graph.edges == (("b", "c"),)
+    assert len(instance2.graph.components()) == 2
+    assert branch_accepts(g2, lab2, levels2)
 
 
 def test_reduction_rejects_two_arch_sources_on_a_level():
@@ -155,12 +159,13 @@ def test_fixture_round_trip_layout():
     g, lab = arched_fixture()
     levels = level_assignment_from_labeling(g, lab)
     derived = reduce_to_level_planarity(g, lab, levels)
-    emb = find_level_embedding(derived)
+    emb = find_level_embedding(derived, before=branch_side_filter(g, lab, levels))
     assert emb is not None
+    assert emb.orders == {1: ("r",), 2: ("t", "a"), 3: ("w",)}
     layout = embedding_to_queue_layout(g, lab, levels, emb)
     assert validate_layout(g, layout).ok
     # spine concatenates reversed level orders: r, then level 2, then w
-    assert layout.spine[0] == "r" and layout.spine[-1] == "w"
+    assert layout.spine == ("r", "a", "t", "w")
 
 
 def test_single_edge_and_single_vertex():
@@ -215,8 +220,8 @@ def test_level_assignment_rejects_disconnected_graph():
 
 def test_leaf_levels_match_level_assignment_from_labeling(monkeypatch):
     """The search reads each leaf's levels off its union-find; they must be
-    the labeling's own levels, lowest level 1.  Every leaf builds its side
-    pairs; only the leaves the relaxation keeps are reduced."""
+    the labeling's own levels, lowest level 1.  Every leaf computes its side
+    pairs; only the leaves whose parity system is consistent get an instance."""
     side_filter = queue_one.branch_side_filter
     leaves = []
 
@@ -243,9 +248,13 @@ def test_verdicts_match_oracle_small():
 
 
 def test_branch_answer_matches_arched_checker_per_labeling():
+    # every labeling of a few small graphs, two random_gnm ones among them;
+    # dropping the b != d guard of the parity equations fails this test
     rng = random.Random(29)
+    graphs = [random_gnm(5, 6, 0), random_gnm(6, 7, 2)]
     for _ in range(6):
-        g = random_connected_graph(rng, rng.randint(2, 5), rng.randint(0, 2))
+        graphs.append(random_connected_graph(rng, rng.randint(2, 5), rng.randint(0, 2)))
+    for g in graphs:
         for lab in enumerate_labelings(g):
             levels = level_assignment_from_labeling(g, lab)
             if levels is None:
@@ -256,34 +265,31 @@ def test_branch_answer_matches_arched_checker_per_labeling():
 
 
 def test_side_pairs_accept_exactly_the_rows_the_side_conditions_accept(monkeypatch):
-    # every row the backtracker draws from _candidate_orders, on every
+    # every row the backtracker checks against its level's pairs, on every
     # branch of criterion-6-sized graphs; the parity check is bypassed so
-    # that the rows of rejected branches are checked too
+    # that the rows of rejected branches are checked too.  A level without
+    # pairs has no arch, and both sides accept each of its rows.
     rng = random.Random(61)
     graphs = []
     while len(graphs) < 12:
         n = rng.randint(3, 6)
         extra = rng.randint(0, min(2, n * (n - 1) // 2 - (n - 1)))
         graphs.append(random_connected_graph(rng, n, extra))
-    candidate_orders = levelplan._candidate_orders
+    honours = levelplan._honours
     branch = {}
     verdicts = {True: 0, False: 0}
 
-    def checked_orders(vertices, below_neighbors, below_pos):
-        g, lab, levels, derived_levels, pairs = (
-            branch[k] for k in ("g", "lab", "levels", "derived_levels", "pairs")
+    def checked_honours(row, own):
+        g, lab, levels = (branch[k] for k in ("g", "lab", "levels"))
+        level = levels.levels[row[0]]
+        accepted = honours(row, own)
+        assert accepted == side_conditions_accept(g, lab, levels, level, row), (
+            g.edges, lab, level, row,
         )
-        for row in candidate_orders(vertices, below_neighbors, below_pos):
-            level = derived_levels[row[0]]
-            own = [(p, q) for p, q in pairs if derived_levels[p] == level]
-            accepted = levelplan._honours(row, own)
-            assert accepted == side_conditions_accept(g, lab, levels, level, row), (
-                g.edges, lab, level, row,
-            )
-            verdicts[accepted] += 1
-            yield row
+        verdicts[accepted] += 1
+        return accepted
 
-    monkeypatch.setattr(levelplan, "_candidate_orders", checked_orders)
+    monkeypatch.setattr(levelplan, "_honours", checked_honours)
     monkeypatch.setattr(levelplan, "parity_consistent", lambda lv, edges, before: True)
     for g in graphs:
         for lab in enumerate_labelings(g):
@@ -293,53 +299,16 @@ def test_side_pairs_accept_exactly_the_rows_the_side_conditions_accept(monkeypat
             derived = reduce_to_level_planarity(g, lab, levels)
             if derived is None:
                 continue
-            pairs = branch_side_filter(g, lab, levels)
-            branch.update(g=g, lab=lab, levels=levels,
-                          derived_levels=derived.levels.levels, pairs=pairs)
-            find_level_embedding(derived, before=pairs)
+            branch.update(g=g, lab=lab, levels=levels)
+            find_level_embedding(derived, before=branch_side_filter(g, lab, levels))
     assert verdicts[True] > 0 and verdicts[False] > 0
 
 
-def test_relaxation_rejects_only_branches_the_framed_parity_system_rejects():
-    # every labeling of criterion-6-sized graphs and of a few random_gnm
-    # graphs: when the relaxation over the original vertices has no
-    # solution, neither has the framed instance's system, and no arched
-    # embedding induces the labeling.  Dropping the b != d guard of the
-    # parity equations fails this test.
-    rng = random.Random(67)
-    graphs = [
-        random_gnm(n, m, seed) for n, m, seed in [(5, 6, 0), (6, 7, 2), (7, 7, 3), (8, 7, 3)]
-    ]
-    while len(graphs) < 14:
-        n = rng.randint(3, 6)
-        extra = rng.randint(0, min(2, n * (n - 1) // 2 - (n - 1)))
-        graphs.append(random_connected_graph(rng, n, extra))
-    outcomes = {True: 0, False: 0}
-    for g in graphs:
-        for lab in enumerate_labelings(g):
-            levels = level_assignment_from_labeling(g, lab)
-            if levels is None:
-                continue
-            derived = reduce_to_level_planarity(g, lab, levels)
-            if derived is None:
-                continue
-            pairs = branch_side_filter(g, lab, levels)
-            relaxed = queue_one._relaxation_consistent(lab, levels, pairs)
-            if not relaxed:
-                framed = levelplan.parity_consistent(
-                    derived.levels.levels, derived.graph.edges, pairs
-                )
-                assert not framed, (g.edges, lab)
-                assert not arched_embedding_exists(g, lab, levels), (g.edges, lab)
-            outcomes[relaxed] += 1
-    assert outcomes[True] > 0 and outcomes[False] > 0
-
-
 def test_unconstrained_drawing_can_overshoot_side_conditions():
-    # the framed instance of this labeling is level planar (a drawing may
-    # hang arch targets outside the right frame chain), yet no arched
-    # embedding induces it: two arch targets cannot both sit at-or-right of
-    # the rightmost upward vertex.  The side filter restores the match.
+    # the ordinary arcs of this labeling have a level drawing, yet no
+    # arched embedding induces it: two arch targets cannot both sit
+    # at-or-right of the rightmost upward vertex.  The side pairs restore
+    # the match.
     g = Graph.from_edges(
         [("v0", "v1"), ("v0", "v5"), ("v0", "v7"), ("v1", "v2"), ("v1", "v3"),
          ("v1", "v4"), ("v1", "v6"), ("v2", "v3"), ("v2", "v4"), ("v3", "v7"),

@@ -435,3 +435,56 @@ def test_cli_oracle_count(tmp_path, capsys):
     path = write_graph(tmp_path, cycle_of("a", "b", "c"))
     assert main(["oracle", path, "--kind", "queue", "--pages", "1", "--count"]) == 0
     assert capsys.readouterr().out.strip() == "6"
+
+
+def test_kernel_inner_cutset_reports_every_cutset_counter():
+    # with the default threshold the kernel of c6 is c6 itself, so the
+    # kernel run solves the whole graph with cutset once
+    g = cycle_graph(6)
+    plain = run(SolveRequest(g, "cutset", LayoutKind.QUEUE, 1))
+    kernel = run(SolveRequest(g, "kernel", LayoutKind.QUEUE, 1, inner="cutset"))
+    assert kernel.verdict == plain.verdict == "found"
+    assert plain.counters["arcs"] > 0
+    assert {k: kernel.counters[k] for k in ("states", "arcs")} == plain.counters
+
+
+@pytest.mark.parametrize(
+    "spine, assignment",
+    [
+        (["a", "b"], {"a c": 1}),  # c is not on the spine
+        (["a", "b"], {"a b": 0}),  # no page 0
+        (["a", "b", "a"], {"a b": 1}),  # a repeats
+        (["a", "b"], {"a a": 1}),  # a self-loop
+    ],
+)
+def test_cli_render_rejects_a_self_inconsistent_layout(tmp_path, capsys, spine, assignment):
+    data = {"kind": "queue", "pages": 1, "spine": spine, "assignment": assignment}
+    layout_path = tmp_path / "bad.json"
+    layout_path.write_text(json.dumps(data))
+    svg_path = tmp_path / "out.svg"
+    assert main(["render", str(layout_path), "--out", str(svg_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not svg_path.exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["vi", "BAD"],
+        ["solve", "BAD", "--algo", "oracle", "--kind", "stack", "--pages", "1"],
+        ["oracle", "BAD", "--kind", "stack", "--pages", "1"],
+        ["kernelize", "BAD", "--pages", "1"],
+        ["bench", "BAD", "--algo", "oracle", "--kind", "stack", "--pages", "1"],
+        ["validate", "BAD", "BAD"],
+        ["render", "BAD", "--out", "-"],
+    ],
+)
+def test_cli_undecodable_input_exits_3(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe\x00")
+    assert main([str(bad) if a == "BAD" else a for a in argv]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
