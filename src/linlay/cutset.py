@@ -10,8 +10,10 @@ layout exists iff the two sentinel states are connected.
 Every arc increases the processed side by exactly one vertex, so every
 sentinel-to-sentinel path has the same length and any reachability search
 returns a shortest (layer-monotone) path.  The search below is a
-deterministic depth-first traversal; states are materialized on demand,
-and the ``parents`` map holds each visited state and its arc.
+deterministic depth-first traversal that generates successors lazily: each
+stack entry is a state with its own successor iterator, one successor is
+taken at a time, and the search stops as soon as the goal is recorded.  The
+``parents`` map holds each recorded state and its arc.
 """
 
 from __future__ import annotations
@@ -498,6 +500,35 @@ def solve_bounded_width_report(
     width: int,
     collect_states: bool = False,
 ) -> CutsetReport:
+    """Decide a layout of page width at most ``width`` by a lazy DFS.
+
+    The stack holds ``(state, successor iterator)`` pairs and is always
+    the path from the empty state to its top.  The top's iterator yields
+    one successor at a time; one already in ``parents`` is skipped,
+    otherwise it is recorded with its arc and pushed with its own
+    iterator.  A state whose iterator is exhausted is popped, and the
+    search stops as soon as the goal is recorded.
+
+    This expands states in the same order, and records the same parent
+    links, as the eager search that builds each successor list in full,
+    records every new successor and pushes them in reverse.  Every arc
+    adds exactly one processed vertex and ``processed`` is part of the
+    state, so the successors of a state in layer k all lie in layer
+    k + 1, and every state of an earlier sibling's subtree lies in layer
+    k + 2 or later.  No sibling is therefore reachable from an earlier
+    sibling's subtree: recording one successor and descending at once
+    meets each sibling exactly as recording them all first would.  Only
+    one state per layer is on the stack, so each state's parent is the
+    first expanded state that generates it in both searches, and the
+    witness is the same.
+
+    ``states_seen`` counts the states recorded (the start excluded) and
+    ``arcs_seen`` the arcs examined.  On an infeasible instance both
+    searches expand every reachable state, so both counts and the set
+    of dumped states equal the eager search's, in a different dump order.
+    On a feasible one the siblings never taken are never generated, and
+    the counts and the dump cover only what came before the goal.
+    """
     if not g.is_connected():
         raise NotConnectedError("solve_bounded_width expects a connected graph")
     if not edge_count_bound(g, kind, pages):
@@ -508,27 +539,28 @@ def solve_bounded_width_report(
     start = ((), (), (), (), frozenset())
     goal = ((), (), (), (), frozenset(g.vertices))
     parents: dict[tuple, tuple[tuple, str] | None] = {start: None}
-    stack = [start]
+    stack = [(start, _successors(g, kind, pages, width, start))]
     states_seen = arcs_seen = 0
     dumped: list[StateNode] = []
-    while stack and goal not in parents:
-        state = stack.pop()
-        succs = list(_successors(g, kind, pages, width, state))
-        arcs_seen += len(succs)
-        # reversed so the canonical-first successor is expanded first
-        for nxt, label in reversed(succs):
-            if nxt in parents:
-                continue
-            parents[nxt] = (state, label)
-            states_seen += 1
-            if collect_states:
-                edges, srcs, snks, pagevec, _ = nxt
-                dumped.append(
-                    S_FULL if nxt == goal else StateNode(OrientedCutSet(edges, srcs + snks), pagevec)
-                )
-            if nxt == goal:
+    while stack:
+        state, succs = stack[-1]
+        for nxt, label in succs:
+            arcs_seen += 1
+            if nxt not in parents:
                 break
-            stack.append(nxt)
+        else:
+            stack.pop()
+            continue
+        parents[nxt] = (state, label)
+        states_seen += 1
+        if collect_states:
+            edges, srcs, snks, pagevec, _ = nxt
+            dumped.append(
+                S_FULL if nxt == goal else StateNode(OrientedCutSet(edges, srcs + snks), pagevec)
+            )
+        if nxt == goal:
+            break
+        stack.append((nxt, _successors(g, kind, pages, width, nxt)))
 
     if goal not in parents:
         return CutsetReport(None, False, states_seen, arcs_seen, dumped)

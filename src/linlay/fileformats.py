@@ -3,7 +3,8 @@
 Graph format: a header ``n m``, then one ``u v`` line per edge; lines
 starting with ``v`` declare isolated vertices, ``#`` starts a comment.
 Layout JSON: {"kind", "pages", "spine": [...], "assignment": {"u v": page}},
-where the page count and every page are JSON integers.
+where the page count and every page are JSON integers and each edge has
+one key ("u v" and "v u" name the same edge).
 """
 
 from __future__ import annotations
@@ -101,7 +102,10 @@ def layout_from_dict(data: dict) -> LinearLayout:
         assignment = {}
         for key, p in data["assignment"].items():
             u, w = key.split()
-            assignment[(u, w) if u < w else (w, u)] = _integer(p, f"the page of {key!r}")
+            e = (u, w) if u < w else (w, u)
+            if e in assignment:
+                raise ValueError(f"the edge {e[0]} {e[1]} is assigned more than once")
+            assignment[e] = _integer(p, f"the page of {key!r}")
     except (KeyError, ValueError, TypeError) as exc:
         raise FormatError(f"malformed layout JSON: {exc}") from exc
     return LinearLayout(kind, pages, spine, assignment)

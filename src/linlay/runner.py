@@ -132,7 +132,11 @@ def _solve_cutset(req: SolveRequest) -> tuple[LinearLayout | None, dict[str, int
     layout, failed = _solve_components(req, solve)
     if req.dump_states is not None:
         _atomic_write(req.dump_states, "\n".join(dump_lines) + "\n")
-    return layout, counters, _BOUND_DETAIL if failed is not None and failed.bound_rejected else ""
+    if failed is None:
+        return layout, counters, ""
+    if failed.bound_rejected:
+        return None, counters, _BOUND_DETAIL
+    return None, counters, f"exhaustive search: no path after {failed.states_seen} states"
 
 
 def _solve_queue1(req: SolveRequest) -> tuple[LinearLayout | None, dict[str, int], str]:

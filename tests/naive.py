@@ -2,6 +2,9 @@
 
 Everything here restates definitions directly (plain double loops and full
 enumeration) and deliberately shares no code with the package solvers.
+The one exception is :func:`eager_bounded_width`, a reference for the
+cut-set search's *order*: it drives the package's own successor generator
+with an eager loop, against which the solver's lazy loop is checked.
 """
 
 from __future__ import annotations
@@ -9,6 +12,7 @@ from __future__ import annotations
 import itertools
 import random
 
+from linlay.cutset import S_FULL, OrientedCutSet, StateNode, _successors
 from linlay.graphs import Graph, edge
 from linlay.layouts import LayoutKind, LinearLayout
 
@@ -86,6 +90,50 @@ def naive_count_layouts(g, kind, pages, max_width=None):
             if max_width is None or naive_page_width(layout) <= max_width:
                 count += 1
     return count
+
+
+def eager_bounded_width(g, kind, pages, width):
+    """The cut-set search with every successor list built in full.
+
+    Pops a state, generates all its successors, records the new ones and
+    pushes them in reverse, so the first successor is expanded first.
+    Returns ``(layout, states, arcs, dumped)``: the witness (spine and pages
+    read off the parent links) or None, the states recorded, the arcs
+    generated, and the recorded states as ``StateNode``s in record order.
+    ``g`` must be connected and pass the edge-count bound.
+    """
+    start = ((), (), (), (), frozenset())
+    goal = ((), (), (), (), frozenset(g.vertices))
+    parents = {start: None}
+    stack = [start]
+    states = arcs = 0
+    dumped = []
+    while stack and goal not in parents:
+        state = stack.pop()
+        succs = list(_successors(g, kind, pages, width, state))
+        arcs += len(succs)
+        for nxt, label in reversed(succs):
+            if nxt in parents:
+                continue
+            parents[nxt] = (state, label)
+            states += 1
+            edges, srcs, snks, pagevec, _ = nxt
+            dumped.append(
+                S_FULL if nxt == goal else StateNode(OrientedCutSet(edges, srcs + snks), pagevec)
+            )
+            if nxt == goal:
+                break
+            stack.append(nxt)
+    if goal not in parents:
+        return None, states, arcs, dumped
+    spine, page_map = [], {}
+    state = goal
+    while parents[state] is not None:
+        prev, label = parents[state]
+        spine.append(label)
+        page_map.update(zip(state[0], state[3]))
+        state = prev
+    return LinearLayout(kind, pages, tuple(reversed(spine)), page_map), states, arcs, dumped
 
 
 def without_vertices(g, vs):

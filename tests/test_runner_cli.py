@@ -66,6 +66,20 @@ def test_queue1_infeasible_detail_names_the_branch_rejection():
     assert report.detail == "all 60 labeling branches rejected"
 
 
+def test_cutset_infeasible_detail_names_the_exhaustive_search():
+    # K3,3 passes the edge-count bound (9 <= 2*6 - 3) but has no 1-page stack layout
+    g = Graph.from_edges([(a, b) for a in "abc" for b in "xyz"])
+    report = run(SolveRequest(g, "cutset", LayoutKind.STACK, 1, 3))
+    assert report.verdict == "infeasible"
+    assert report.counters == {"states": 36, "arcs": 36}
+    assert report.detail == "exhaustive search: no path after 36 states"
+    # beside a solved edge component the counters sum, the detail names K3,3's search
+    g2 = Graph.from_edges([("A", "B"), *g.edges])
+    report2 = run(SolveRequest(g2, "cutset", LayoutKind.STACK, 1, 3))
+    assert report2.counters == {"states": 38, "arcs": 38}
+    assert report2.detail == report.detail
+
+
 def test_run_oracle_found(c4):
     report = run(SolveRequest(c4, "oracle", LayoutKind.STACK, 1))
     assert report.verdict == "found" and report.exit_code == 0
@@ -359,8 +373,9 @@ def test_cli_dump_states(tmp_path, capsys):
 
 @pytest.mark.parametrize("kind", ["stack", "queue"])
 def test_cli_dump_states_golden(tmp_path, capsys, kind):
-    """The dump lists visited states in search order, so it pins the order
-    in which sink interleavings and page vectors are tried."""
+    """The dump lists recorded states in visit order.  c6 is feasible, so
+    it holds only the states generated before the goal (here the witness
+    path) and pins which interleaving and page vector is tried first."""
     path = write_graph(tmp_path, cycle_graph(6))
     dump = tmp_path / "states.txt"
     assert main(
@@ -368,6 +383,20 @@ def test_cli_dump_states_golden(tmp_path, capsys, kind):
          "--width", "2", "--dump-states", str(dump)]
     ) == 0
     golden = Path(__file__).parent / "data" / f"dump_states_c6_{kind}_2p_w2.txt"
+    assert dump.read_bytes() == golden.read_bytes()
+    capsys.readouterr()
+
+
+def test_cli_dump_states_golden_exhaustive(tmp_path, capsys):
+    """K3,3 has no 1-page stack layout, so the dump holds every reachable
+    state and pins the order of the whole exhaustive search."""
+    path = write_graph(tmp_path, Graph.from_edges([(a, b) for a in "abc" for b in "xyz"]))
+    dump = tmp_path / "states.txt"
+    assert main(
+        ["solve", path, "--algo", "cutset", "--kind", "stack", "--pages", "1",
+         "--width", "3", "--dump-states", str(dump)]
+    ) == 1
+    golden = Path(__file__).parent / "data" / "dump_states_k33_stack_1p_w3.txt"
     assert dump.read_bytes() == golden.read_bytes()
     capsys.readouterr()
 
@@ -466,6 +495,25 @@ def test_cli_render_rejects_a_self_inconsistent_layout(tmp_path, capsys, spine, 
     captured = capsys.readouterr()
     assert captured.out == "" and not svg_path.exists()
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["validate", "render"])
+def test_cli_layout_with_a_repeated_edge_exits_3(tmp_path, capsys, command):
+    # "a b" and "b a" name one edge; a layout may not give it two pages
+    graph_path = write_graph(tmp_path, Graph.from_edges([("a", "b")]))
+    data = {"kind": "queue", "pages": 2, "spine": ["a", "b"], "assignment": {"a b": 1, "b a": 2}}
+    layout_path = tmp_path / "twice.json"
+    layout_path.write_text(json.dumps(data))
+    argv = (
+        ["validate", graph_path, str(layout_path)]
+        if command == "validate"
+        else ["render", str(layout_path), "--out", str(tmp_path / "out.svg")]
+    )
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and not (tmp_path / "out.svg").exists()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "assigned more than once" in captured.err
 
 
 @pytest.mark.parametrize(
