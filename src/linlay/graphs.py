@@ -82,24 +82,37 @@ class Graph:
     def has_edge(self, u: str, v: str) -> bool:
         return u != v and edge(u, v) in self.edge_set
 
-    def bfs_components(self, avoid: Iterable[str] = ()) -> Iterator[list[str]]:
+    def bfs_components(
+        self, avoid: Iterable[str] = (), cap: int | None = None
+    ) -> Iterator[list[str]]:
         """Components of G - ``avoid``, listed by their smallest vertex, each in
         breadth-first order from it with neighbours in canonical order.
 
         Walks ``adjacency`` and skips ``avoid``, so no graph is rebuilt.
+        With ``cap``, the first component that reaches ``cap`` vertices is
+        yielded as its first ``cap`` vertices and the walk ends there.  A
+        breadth-first order only ever appends, so that list is a prefix of
+        the component the uncapped walk yields, and every component before
+        it is yielded whole, exactly as without a cap.
         """
         seen = set(avoid)
         adj = self.adjacency
+        limit = self.n + 1 if cap is None else cap
         for start in self.vertices:
             if start in seen:
                 continue
             seen.add(start)
             order = [start]
             for v in order:
+                if len(order) >= limit:
+                    break
                 for w in adj[v]:
                     if w not in seen:
                         seen.add(w)
                         order.append(w)
+            if len(order) >= limit:
+                yield order[:limit]
+                return
             yield order
 
     def components(self) -> tuple[tuple[str, ...], ...]:

@@ -47,22 +47,35 @@ class ViDecomposition:
     p: int
 
 
-def _vi_witness(g: Graph, p: int) -> tuple[str, ...] | None:
-    """Separator S with |S| + max component size <= p, or None.
+def _vi_witness(g: Graph, p: int) -> tuple[tuple[str, ...], list[list[str]]] | None:
+    """Separator S with |S| + max component size <= p, with the components
+    of G - S in walk order, or None.
 
     Branches over a connected (p - |S| + 1)-vertex piece of any oversized
-    component; every witness must hit that piece.
+    component; every witness must hit that piece.  The piece is the first
+    ``cap`` = p - |S| + 1 vertices of the first oversized component in
+    breadth-first order, and a component is oversized exactly when it
+    reaches ``cap`` vertices.  So each node walks G - S with that cap: the
+    walk stops at the first oversized component, yielding exactly the
+    piece the uncapped walk would cut from it, and the components before
+    it whole.  The branch sets, their order and hence the separator found
+    are those of the uncapped search (``tests/naive.py`` keeps it as the
+    reference).  The node that succeeds met no oversized component, so its
+    walk covered all of G - S and its components are returned as they are.
     """
 
-    def rec(sep: frozenset[str]) -> tuple[str, ...] | None:
-        for comp in g.bfs_components(sep):
-            if len(comp) + len(sep) > p:
+    def rec(sep: frozenset[str]) -> tuple[tuple[str, ...], list[list[str]]] | None:
+        cap = p - len(sep) + 1
+        comps = []
+        for comp in g.bfs_components(sep, cap):
+            if len(comp) >= cap:
                 break
+            comps.append(comp)
         else:
-            return tuple(sorted(sep))
+            return tuple(sorted(sep)), comps
         if len(sep) >= p:
             return None
-        for v in comp[: p - len(sep) + 1]:
+        for v in comp:
             found = rec(sep | {v})
             if found is not None:
                 return found
@@ -81,10 +94,10 @@ def compute_vertex_integrity(g: Graph, budget: int | None = None) -> ViDecomposi
         return ViDecomposition((), (), 1)
     top = min(budget, g.n) if budget is not None else g.n
     for p in range(1, top + 1):
-        sep = _vi_witness(g, p)
-        if sep is not None:
-            comps = tuple(tuple(sorted(c)) for c in g.bfs_components(sep))
-            return ViDecomposition(sep, comps, p)
+        found = _vi_witness(g, p)
+        if found is not None:
+            sep, comps = found
+            return ViDecomposition(sep, tuple(tuple(sorted(c)) for c in comps), p)
     return None
 
 
@@ -158,34 +171,55 @@ def twin_partition(g: Graph, dec: ViDecomposition) -> tuple[TwinClass, ...]:
     A component is tried against the classes in the order they arose, but
     only against those whose representative has the same sorted vertex
     profiles, as every twin of it has.
+
+    Components are memoized by *shape*: the neighbour tuple of each vertex,
+    with component vertices written as indices into the sorted component
+    and separator vertices kept as names.  Two components of equal shape
+    are related by the index map, which preserves edges inside them and
+    every attachment into S, so it is an attachment-preserving isomorphism.
+    Hence a representative is a twin of one exactly when it is a twin of
+    the other; the classes that arose before the first of them reject both,
+    and both join the class the first joined or founded.  The maps onto
+    that representative that ``_attachment_iso`` accepts depend on the
+    source only through degrees, attachments and edges by index, which
+    the shape fixes, so as index sequences both components share the first
+    one in ``itertools.permutations`` order (for the founder itself it is
+    the identity, which is first of all).  A memo hit therefore reuses the
+    class and the index sequence, and profiles and isomorphism searches run
+    only on misses.
     """
     adj = g.adjacency
-    profile = {
-        v: (len(adj[v]), tuple(s in adj[v] for s in dec.separator))
-        for comp in dec.components
-        for v in comp
-    }
+    profile: dict[str, tuple] = {}
     classes: list[tuple[list[tuple[str, ...]], list[dict[str, str]]]] = []
-    by_profiles: dict[tuple, list[int]] = {}
+    by_profiles: dict[tuple, list[tuple[list, list]]] = {}
+    by_shape: dict[tuple, tuple[list, list, tuple[str, ...]]] = {}
     for comp in dec.components:
+        index = {v: i for i, v in enumerate(comp)}
+        # index.get(w, w): an index inside the component, a name in S
+        shape = tuple([tuple(map(index.get, adj[v], adj[v])) for v in comp])
+        hit = by_shape.get(shape)
+        if hit is not None:
+            members, isos, images = hit
+            members.append(comp)
+            isos.append(dict(zip(comp, images)))
+            continue
+        for v in comp:
+            profile[v] = (len(adj[v]), tuple(s in adj[v] for s in dec.separator))
         same = by_profiles.setdefault(tuple(sorted(profile[v] for v in comp)), [])
-        for k in same:
-            members, isos = classes[k]
+        for members, isos in same:
             mapping = _attachment_iso(g, profile, comp, members[0])
             if mapping is not None:
                 members.append(comp)
                 isos.append(mapping)
                 break
         else:
-            same.append(len(classes))
-            classes.append(([comp], [{v: v for v in comp}]))
-    return tuple(
-        TwinClass(
-            tuple(members),
-            tuple(dict(sorted(iso.items())) for iso in isos),
-        )
-        for members, isos in classes
-    )
+            mapping = {v: v for v in comp}
+            members, isos = [comp], [mapping]
+            same.append((members, isos))
+            classes.append((members, isos))
+        # the index sequence of the map, written as representative vertices
+        by_shape[shape] = (members, isos, tuple(mapping.values()))
+    return tuple(TwinClass(tuple(members), tuple(isos)) for members, isos in classes)
 
 
 # -- reduced graph --------------------------------------------------------------
@@ -429,13 +463,11 @@ def lift_layout(
     validated and returned restricted to ``g_full``.
     """
     core = set(cert.separator) | set(cert.s_prime)
-    member_to_rep: dict[str, str] = {}
-    member_of: dict[tuple[str, int], str] = {}  # (representative vertex, member index)
+    copies: dict[str, list[str]] = {}  # representative vertex -> its copy in each member
     for cid in cert.large_class_ids:
-        for i, iso in enumerate(cert.classes[cid].isos):
-            member_to_rep.update(iso)
+        for iso in cert.classes[cid].isos:
             for v, r in iso.items():
-                member_of[(r, i)] = v
+                copies.setdefault(r, []).append(v)
     t = max(len(cert.classes[cid].members) for cid in cert.large_class_ids)
 
     block_start = {reps[0]: (reps, direction) for reps, direction in guide.blocks}
@@ -450,29 +482,25 @@ def lift_layout(
         if v in in_block_tail:
             continue
         reps, direction = block_start[v]
-        copies = range(t) if direction == "asc" else range(t - 1, -1, -1)
-        for i in copies:
-            for r in reps:
-                mv = member_of.get((r, i))  # None for a padding copy of a smaller class
-                if mv is not None:
-                    spine.append(mv)
+        runs = [copies[r] for r in reps]
+        order = range(t) if direction == "asc" else range(t - 1, -1, -1)
+        # a smaller class has no copy i: its run is padding there
+        spine.extend(run[i] for i in order for run in runs if i < len(run))
 
+    # every vertex pages like its copy in the guide's middle group
+    to_y = {v: v for v in core}
     y_from = cert.group_maps[guide.y][1]
+    for r, vs in copies.items():
+        y = y_from[r]
+        for v in vs:
+            to_y[v] = y
     base_pages = guide.base_layout.pages
     page_map: dict[Edge, int] = {}
     for u, w in g_full.edges:
-        if u in core and w in core:
-            page_map[(u, w)] = base_pages[(u, w)]
-            continue
-        ru, rw = member_to_rep.get(u), member_to_rep.get(w)
-        if ru is not None and rw is not None:
-            page_map[(u, w)] = base_pages[edge(y_from[ru], y_from[rw])]
-        elif ru is not None:
-            page_map[(u, w)] = base_pages[edge(y_from[ru], w)]
-        elif rw is not None:
-            page_map[(u, w)] = base_pages[edge(y_from[rw], u)]
-        else:
-            raise LiftError(f"edge {u!r}-{w!r} joins two pruned components")
+        a, b = to_y.get(u), to_y.get(w)
+        if a is None or b is None:
+            raise LiftError(f"edge {u!r}-{w!r} leaves the core and the large classes")
+        page_map[(u, w)] = base_pages[(a, b) if a < b else (b, a)]
 
     layout = LinearLayout(
         guide.base_layout.kind, guide.base_layout.page_count, tuple(spine), page_map

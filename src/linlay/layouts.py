@@ -182,7 +182,9 @@ def page_width(layout: LinearLayout) -> int:
         if e[0] not in pos or e[1] not in pos:
             raise LayoutDomainError(f"edge {e!r} mentions a vertex missing from the spine")
         a, b = sorted((pos[e[0]], pos[e[1]]))
-        diff = diffs.setdefault(p, [0] * n)
+        diff = diffs.get(p)
+        if diff is None:
+            diff = diffs[p] = [0] * n
         diff[a] += 1
         diff[b] -= 1
     return max(max(accumulate(diff)) for diff in diffs.values())

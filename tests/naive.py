@@ -2,9 +2,12 @@
 
 Everything here restates definitions directly (plain double loops and full
 enumeration) and deliberately shares no code with the package solvers.
-The one exception is :func:`eager_bounded_width`, a reference for the
-cut-set search's *order*: it drives the package's own successor generator
-with an eager loop, against which the solver's lazy loop is checked.
+Two references pin a search's *order* and so reuse package code:
+:func:`eager_bounded_width` drives the package's own successor generator
+with an eager loop, against which the cut-set solver's lazy loop is
+checked, and :func:`uncapped_vertex_integrity` is the vertex-integrity
+search with every component walked in full, against which the capped
+walk is checked.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ import random
 
 from linlay.cutset import S_FULL, OrientedCutSet, StateNode, _successors
 from linlay.graphs import Graph, edge
+from linlay.kernel import ViDecomposition
 from linlay.layouts import LayoutKind, LinearLayout
 
 
@@ -153,6 +157,45 @@ def naive_vertex_integrity(g):
             worst = max((len(c) for c in rest.components()), default=0)
             best = min(best, r + worst if rest.n else r)
     return max(best, 1)
+
+
+def _uncapped_vi_witness(g, p):
+    """Separator S with |S| + max component size <= p, or None.
+
+    Branches over a connected (p - |S| + 1)-vertex piece of any oversized
+    component; every witness must hit that piece.
+    """
+
+    def rec(sep):
+        for comp in g.bfs_components(sep):
+            if len(comp) + len(sep) > p:
+                break
+        else:
+            return tuple(sorted(sep))
+        if len(sep) >= p:
+            return None
+        for v in comp[: p - len(sep) + 1]:
+            found = rec(sep | {v})
+            if found is not None:
+                return found
+        return None
+
+    return rec(frozenset())
+
+
+def uncapped_vertex_integrity(g, budget=None):
+    """``kernel.compute_vertex_integrity`` with every component of G - S
+    walked in full at every search node, and G - S walked again for the
+    decomposition."""
+    if g.n == 0:
+        return ViDecomposition((), (), 1)
+    top = min(budget, g.n) if budget is not None else g.n
+    for p in range(1, top + 1):
+        sep = _uncapped_vi_witness(g, p)
+        if sep is not None:
+            comps = tuple(tuple(sorted(c)) for c in g.bfs_components(sep))
+            return ViDecomposition(sep, comps, p)
+    return None
 
 
 def naive_first_twin_map(g, separator, comp_a, comp_b):

@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import itertools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
 from linlay.generators import twin_gadget
 from linlay.graphs import Graph
+from linlay import kernel
 from linlay.kernel import (
     GuidingError,
     ViDecomposition,
@@ -27,8 +30,12 @@ from naive import (
     naive_vertex_integrity,
     path_of,
     random_connected_graph,
+    random_graph,
     star_of,
+    uncapped_vertex_integrity,
 )
+
+POOL = Path(__file__).resolve().parent.parent / "perfbench" / "pool" / "kernel-lift.json"
 
 
 def test_vi_examples():
@@ -65,6 +72,24 @@ def test_vi_budget_mode():
     assert compute_vertex_integrity(p9, budget=4) is None
     dec = compute_vertex_integrity(p9, budget=5)
     assert dec is not None and dec.p == 5
+
+
+def test_capped_vi_matches_the_uncapped_search():
+    """Separator, components and their order equal the uncapped search's,
+    on random graphs (disconnected ones too), in budget mode and on twin
+    gadgets."""
+    rng = random.Random(53)
+    graphs = [Graph.build([], [])]
+    for _ in range(60):
+        n = rng.randint(1, 10)
+        graphs.append(random_graph(rng, n, rng.randint(0, min(n * (n - 1) // 2, 2 * n))))
+        graphs.append(random_connected_graph(rng, rng.randint(1, 10), rng.randint(0, 6)))
+    graphs += [twin_gadget(*args) for args in ((1, 1, 8), (2, 2, 10), (3, 2, 7), (4, 1, 9),
+                                               (2, 3, 6), (1, 2, 12))]
+    for g in graphs:
+        for budget in (None, *range(1, min(g.n, 6) + 1)):
+            assert (compute_vertex_integrity(g, budget)
+                    == uncapped_vertex_integrity(g, budget)), (g.edges, budget)
 
 
 def test_twin_partition_pendants():
@@ -110,26 +135,108 @@ def test_twin_partition_matches_pairwise_bruteforce():
                         assert g.has_edge(u, s) == g.has_edge(iso[u], s)
 
 
-def test_twin_partition_isos_are_first_permutation_maps():
+def _checked_partition(g, dec, monkeypatch):
+    """``twin_partition(g, dec)`` and how often it ran ``_attachment_iso``;
+    every iso is checked against the first map in permutation order."""
+    calls = []
+    search = kernel._attachment_iso
+
+    def counted(*args):
+        calls.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(kernel, "_attachment_iso", counted)
+    classes = twin_partition(g, dec)
+    for cls in classes:
+        for member, iso in zip(cls.members, cls.isos):
+            assert iso == naive_first_twin_map(g, dec.separator, member, cls.representative)
+            assert list(iso) == list(member)
+    return classes, len(calls)
+
+
+def _copies(shape, attach, names_per_copy):
+    """Edges and sorted vertex tuples of renamed copies of ``shape``, each
+    attached to the separator as ``attach`` says."""
+    edges, comps = [], []
+    for names in names_per_copy:
+        rename = dict(zip(shape.vertices, names))
+        edges += [(rename[u], rename[w]) for u, w in shape.edges]
+        edges += [(rename[v], s) for v, s in attach]
+        comps.append(tuple(sorted(names)))
+    return edges, comps
+
+
+def test_twin_partition_isos_are_first_permutation_maps(monkeypatch):
     """Each recorded isomorphism is the first one in permutation order,
-    also when a component has automorphisms that fix its attachments."""
+    also when a component has automorphisms that fix its attachments.
+    The copies share three name orders, so most of them are memo hits
+    that reuse the map of an earlier copy with the same order."""
     rng = random.Random(17)
     seps = ["s0", "s1"]
+    hits = moved = 0
     for _ in range(40):
         shape = random_connected_graph(rng, rng.randint(2, 6), rng.randint(0, 3))
         attach = [(v, s) for v in shape.vertices for s in seps if rng.random() < 0.3]
-        edges, comps = [], []
-        for c in range(3):
-            names = [f"c{c}_{i}" for i in range(shape.n)]
-            rng.shuffle(names)
-            rename = dict(zip(shape.vertices, names))
-            edges += [(rename[u], rename[w]) for u, w in shape.edges]
-            edges += [(rename[v], s) for v, s in attach]
-            comps.append(tuple(sorted(names)))
+        orders = [rng.sample(range(shape.n), shape.n) for _ in range(3)]
+        edges, comps = _copies(shape, attach, [[f"c{c}_{i}" for i in orders[c % 3]]
+                                               for c in range(9)])
         g = Graph.build(seps + [v for comp in comps for v in comp], edges)
-        (cls,) = twin_partition(g, ViDecomposition(tuple(seps), tuple(comps), 0))
-        for member, iso in zip(cls.members, cls.isos):
-            assert iso == naive_first_twin_map(g, seps, member, cls.representative)
+        (cls,), searches = _checked_partition(
+            g, ViDecomposition(tuple(seps), tuple(comps), 0), monkeypatch)
+        assert len(cls.members) == 9 and searches <= 2
+        hits += 8 - searches
+        moved += sum(list(iso.values()) != list(cls.representative) for iso in cls.isos)
+    assert hits >= 40 * 6 and moved > 0
+
+
+def test_twin_partition_isos_on_memo_misses_across_separator_names(monkeypatch):
+    """Copy names that interleave with the separator names order each
+    neighbour tuple differently, so those copies miss the memo and are
+    matched by the isomorphism search."""
+    rng = random.Random(67)
+    seps = ["d", "m"]
+    for _ in range(30):
+        shape = random_connected_graph(rng, rng.randint(2, 4), rng.randint(0, 2))
+        first = shape.vertices[0]
+        attach = [(v, s) for v in shape.vertices for s in seps if v == first or rng.random() < 0.5]
+        names = [[f"{prefix}{i}" for i in rng.sample(range(shape.n), shape.n)]
+                 for prefix in "aepbfq"]
+        edges, comps = _copies(shape, attach, names)
+        g = Graph.build(seps + [v for comp in comps for v in comp], edges)
+        (cls,), searches = _checked_partition(
+            g, ViDecomposition(tuple(seps), tuple(comps), 0), monkeypatch)
+        assert len(cls.members) == 6
+        # the first vertex sees both separator vertices, which its "a", "e"
+        # and "p" copies list before, around and after their own neighbours
+        assert searches >= 2
+
+
+def test_twin_partition_isos_on_twin_gadgets(monkeypatch):
+    for args in ((2, 2, 5), (3, 2, 6), (1, 3, 5), (3, 1, 7), (2, 3, 4)):
+        g = twin_gadget(*args)
+        classes, searches = _checked_partition(g, compute_vertex_integrity(g), monkeypatch)
+        assert max(len(cls.members) for cls in classes) == args[2]
+        assert searches == 0  # every copy after the first is a memo hit
+
+
+def test_kernel_lift_pool_verdicts_and_counters():
+    """Every request of the benchmark's kernel-lift pool, replayed through
+    ``runner.run``, gives the stored verdict and kernel counters.  The
+    cutset inner solver's ``states`` and ``arcs`` are not compared: the
+    pool recorded them before the cutset search became lazy."""
+    pool = json.loads(POOL.read_text())
+    requests = [req for slot in pool["slots"] for req in slot]
+    assert len(requests) == 14
+    for req in requests:
+        assert req["op"] == "solve" and req["graph"]["gen"] == "twin_gadget"
+        report = run(SolveRequest(
+            twin_gadget(*req["graph"]["args"]), req["algo"], LayoutKind(req["kind"]),
+            req["pages"], req["width"], inner=req["inner"], threshold=req["threshold"],
+            oracle_guard=req["oracle_guard"],
+        ))
+        assert report.verdict == req["ref"]["verdict"], req["graph"]
+        for key in ("vi", "kernel_vertices", "kernel_groups", "lifted"):
+            assert report.counters[key] == req["counters"][key], (req["graph"], key)
 
 
 def test_twin_relation_is_equivalence():

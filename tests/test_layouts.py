@@ -22,6 +22,7 @@ from naive import (
     naive_conflicting_pairs,
     naive_page_width,
     random_connected_graph,
+    random_graph,
 )
 
 
@@ -59,6 +60,30 @@ def test_bfs_components():
     assert list(g.bfs_components({"a", "h"})) == [["b", "c"], ["d", "e"], ["f"], ["g"], ["i"]]
     assert g.components() == tuple(tuple(sorted(c)) for c in g.bfs_components())
     assert g.components() == (("a", "b", "c", "d", "e"), ("f", "g", "h"), ("i",))
+
+
+def test_capped_bfs_components_is_a_prefix_of_the_uncapped_walk():
+    """The capped walk yields the uncapped walk up to the first component of
+    at least ``cap`` vertices, that component cut to its first ``cap``
+    vertices, and nothing after it."""
+    rng = random.Random(29)
+    truncated = whole = 0
+    for _ in range(150):
+        n = rng.randint(1, 10)
+        g = random_graph(rng, n, rng.randint(0, min(n * (n - 1) // 2, 2 * n)))
+        avoid = set(rng.sample(g.vertices, rng.randint(0, n - 1)))
+        full = list(g.bfs_components(avoid))
+        assert list(g.bfs_components(avoid, None)) == full
+        for cap in range(1, n + 2):
+            capped = list(g.bfs_components(avoid, cap))
+            big = next((i for i, c in enumerate(full) if len(c) >= cap), None)
+            if big is None:
+                whole += 1
+                assert capped == full
+            else:
+                truncated += 1
+                assert capped == full[:big] + [full[big][:cap]]
+    assert truncated > 100 and whole > 100
 
 
 def test_validate_path_on_one_stack_page(path3):
