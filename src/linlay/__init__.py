@@ -4,7 +4,6 @@ from .bounds import edge_count_bound
 from .cutset import (
     OrientedCutSet,
     StateNode,
-    arc_exists,
     enumerate_states,
     induce_order,
     is_nicely_oriented,

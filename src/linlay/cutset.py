@@ -25,7 +25,7 @@ from typing import Iterator
 
 from .bounds import edge_count_bound
 from .graphs import Edge, Graph, edge
-from .layouts import LayoutKind, LinearLayout, _page_has_conflict, page_width, validate_layout
+from .layouts import LayoutKind, LinearLayout, page_width, validate_layout
 from .levelplan import _insert_everywhere
 
 
@@ -234,40 +234,7 @@ def left_side(g: Graph, cut: OrientedCutSet) -> frozenset[str]:
     return frozenset(v for comp in src_comps for v in comp)
 
 
-def state_left_side(g: Graph, state: StateNode) -> frozenset[str]:
-    if state.is_sentinel:
-        return frozenset(g.vertices) if state.processed_all else frozenset()
-    return left_side(g, state.cut)
-
-
 # -- state graph --------------------------------------------------------------
-
-
-def _mini_layout_valid(
-    kind: LayoutKind,
-    order_pos: dict[str, int],
-    edges_pages: list[tuple[Edge, int]],
-    width: int,
-) -> bool:
-    """AC-style validity of the cut-only layout: per page, at most ``width``
-    edges and no conflict under :func:`_page_has_conflict`.
-
-    Every edge runs from a source to a sink and all sources precede all
-    sinks, so no edge's right end is another edge's left end.  Two edges of
-    a page therefore either share an endpoint, and never conflict, or have
-    four distinct positions, where the sweep's strict patterns
-    (``a1 < a2 < b1 < b2`` crossing, ``a1 < a2 < b2 < b1`` nesting) are the
-    whole conflict test.  Page width equals the page size here, since every
-    edge of a page spans the source/sink boundary.
-    """
-    per_page: dict[int, list[tuple[int, int]]] = {}
-    for (u, v), p in edges_pages:
-        a, b = order_pos[u], order_pos[v]
-        per_page.setdefault(p, []).append((min(a, b), max(a, b)))
-    return all(
-        len(spans) <= width and not _page_has_conflict(kind, spans)
-        for spans in per_page.values()
-    )
 
 
 def _successors(
@@ -386,66 +353,6 @@ def _page_combos(
 
     rec(0, dict(base_counts), [], 0)
     return out
-
-
-def arc_exists(
-    g: Graph,
-    sx: StateNode,
-    sy: StateNode,
-    pages: int,
-    width: int,
-    kind: LayoutKind,
-) -> str | None:
-    """Label vertex of the arc sx -> sy, or None; checks the conditions literally."""
-    proc_x = state_left_side(g, sx)
-    proc_y = state_left_side(g, sy)
-    unproc_x = [v for v in g.vertices if v not in proc_x]
-    fx = set(sx.cut.edges)
-    for v in unproc_x:
-        fy_expected = {e for e in fx if v not in e} | {
-            edge(v, w) for w in g.neighbors(v) if w not in proc_x and w != v
-        }
-        if fy_expected != set(sy.cut.edges):
-            continue
-        if proc_y != proc_x | {v}:
-            continue
-        # order and page agreement on the shared edges
-        shared = fx & fy_expected
-        shared_eps = sorted({u for e in shared for u in e})
-        pos_x = {u: i for i, u in enumerate(sx.cut.order)}
-        pos_y = {u: i for i, u in enumerate(sy.cut.order)}
-        ok = all(
-            (pos_x[a] < pos_x[b]) == (pos_y[a] < pos_y[b])
-            for a, b in itertools.combinations(shared_eps, 2)
-        )
-        if not ok:
-            continue
-        px = dict(zip(sx.cut.edges, sx.page_of))
-        py = dict(zip(sy.cut.edges, sy.page_of))
-        if any(px[e] != py[e] for e in shared):
-            continue
-        # moved vertex sits at the boundary of both orders
-        if v in {u for e in fx for u in e}:
-            _, sinks_x = sx.cut.sources_and_sinks()
-            if not sinks_x or sinks_x[0] != v:
-                continue
-        if v in {u for e in fy_expected for u in e}:
-            sources_y, _ = sy.cut.sources_and_sinks()
-            if not sources_y or sources_y[-1] != v:
-                continue
-        # both boundary layouts must be valid for the kind at this width
-        def mini_ok(state: StateNode) -> bool:
-            if state.is_sentinel:
-                return True
-            pos = {u: i for i, u in enumerate(state.cut.order)}
-            return _mini_layout_valid(
-                kind, pos, list(zip(state.cut.edges, state.page_of)), width
-            )
-
-        if not (mini_ok(sx) and mini_ok(sy)):
-            continue
-        return v
-    return None
 
 
 def enumerate_states(

@@ -119,6 +119,7 @@ class Graph:
         """Connected components, each sorted, listed by their smallest vertex."""
         return tuple(tuple(sorted(c)) for c in self.bfs_components())
 
+    @cached_property
     def twin_classes(self) -> tuple[tuple[str, ...], ...]:
         """Twin classes of two or more vertices, each sorted, listed by their
         smallest vertex.

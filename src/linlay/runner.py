@@ -222,6 +222,8 @@ def run(req: SolveRequest) -> RunReport:
             layout = solve_exhaustive(
                 OracleQuery(g, req.kind, req.pages, req.width), guard=req.oracle_guard
             )
+            if layout is None:
+                detail = "exhaustive search: no layout"
         elif req.algorithm == "kernel":
             layout, counters = _solve_kernel(req)
         else:

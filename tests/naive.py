@@ -2,23 +2,32 @@
 
 Everything here restates definitions directly (plain double loops and full
 enumeration) and deliberately shares no code with the package solvers.
-Two references pin a search's *order* and so reuse package code:
-:func:`eager_bounded_width` drives the package's own successor generator
-with an eager loop, against which the cut-set solver's lazy loop is
-checked, and :func:`uncapped_vertex_integrity` is the vertex-integrity
-search with every component walked in full, against which the capped
-walk is checked.
+Some references pin a search's *order* or restate a solver's conditions
+literally, and so reuse package code:
+
+- :func:`eager_bounded_width` drives the package's own successor generator
+  with an eager loop, against which the cut-set solver's lazy loop is
+  checked;
+- :func:`arc_exists` checks the cut-set state graph's arc conditions one
+  by one, against which the successor generator is checked;
+- :func:`uncapped_vertex_integrity` is the vertex-integrity search with
+  every component walked in full, against which the capped walk is
+  checked;
+- :class:`ReferenceSearch` is the oracle's spine search with name-keyed
+  state and no memo, against which the integer-indexed search is checked.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
-from linlay.cutset import S_FULL, OrientedCutSet, StateNode, _successors
-from linlay.graphs import Graph, edge
+from linlay.cutset import S_FULL, OrientedCutSet, StateNode, _successors, left_side
+from linlay.graphs import Edge, Graph, edge
 from linlay.kernel import ViDecomposition
-from linlay.layouts import LayoutKind, LinearLayout
+from linlay.layouts import LayoutKind, LinearLayout, _page_has_conflict
+from linlay.oracle import OracleQuery
 
 
 def naive_conflicting_pairs(g, layout):
@@ -138,6 +147,274 @@ def eager_bounded_width(g, kind, pages, width):
         page_map.update(zip(state[0], state[3]))
         state = prev
     return LinearLayout(kind, pages, tuple(reversed(spine)), page_map), states, arcs, dumped
+
+
+class ReferenceSearch:
+    """The oracle's spine search with name-keyed state, a pairwise
+    conflict scan per page and no memo.  ``ReferenceSearch(query).run(
+    count_all)`` returns the same spine or count as ``oracle._Search``,
+    whose integer state, constant-time page tests and frontier memo are
+    checked against it."""
+
+    def __init__(self, query: OracleQuery):
+        g = query.graph
+        self.g = g
+        self.stack_kind = query.kind is LayoutKind.STACK
+        self.pages = query.pages
+        self.q = query.max_width
+        self.verts = list(g.vertices)
+        self.n = g.n
+        self.spine: list[str] = []
+        self.pos: dict[str, int] = {}
+        # per page: position pairs (a, b) with a < b of assigned edges
+        self.by_page: dict[int, list[tuple[int, int]]] = {
+            p: [] for p in range(1, query.pages + 1)
+        }
+        # neighbours of each vertex that are not placed yet
+        self.unplaced_deg = {v: len(g.adjacency[v]) for v in g.vertices}
+        # stack: per page, how many assigned edges pass strictly over each position
+        self.cover = {p: [0] * g.n for p in self.by_page}
+        # queue: per page, the running maximum of the left ends of assigned edges
+        self.max_left = {p: [-1] for p in self.by_page}
+        # width bound only: per page, how many assigned edges span each gap,
+        # gap i lying between positions i and i + 1
+        self.gaps = None if self.q is None else {p: [0] * g.n for p in self.by_page}
+        # unplaced vertices greater than spine[0]
+        self.above = 0
+        # twin break: each twin's next smaller twin; empty when G has no twins
+        classes = g.twin_classes
+        self.twin_prev = {v: u for c in classes for u, v in zip(c, c[1:])}
+        # layouts per twin-ordered one: the twin swaps permute freely
+        self.orbit = math.prod(math.factorial(len(c)) for c in classes)
+
+    # -- pruning -------------------------------------------------------------
+
+    def _cut_ok(self) -> bool:
+        """Width check on the gap right of the placed prefix."""
+        unplaced = self.unplaced_deg
+        return sum(unplaced[v] for v in self.spine) <= self.q * self.pages
+
+    def _forward_ok(self, lo: int) -> bool:
+        """Forward check: every dangling edge still has a page it may take."""
+        spine, unplaced = self.spine, self.unplaced_deg
+        if self.stack_kind:
+            rows = self.cover.values()
+            for i in range(lo + 1, len(spine) - 1):
+                if unplaced[spine[i]] and all(row[i] for row in rows):
+                    return False
+            return True
+        bound = min(ml[-1] for ml in self.max_left.values())
+        return not any(unplaced[spine[i]] for i in range(bound))
+
+    def _conflicts(self, a1: int, b1: int, p: int) -> bool:
+        stack = self.stack_kind
+        for a2, b2 in self.by_page[p]:
+            if a1 == a2 or a1 == b2 or b1 == a2 or b1 == b2:
+                continue  # shared endpoint
+            if stack:
+                if a1 < a2 < b1 < b2 or a2 < a1 < b2 < b1:
+                    return True
+            else:
+                if a1 < a2 < b2 < b1 or a2 < a1 < b1 < b2:
+                    return True
+        return False
+
+    # -- enumeration -----------------------------------------------------------
+
+    def run(self, count_all: bool) -> int | tuple[str, ...] | None:
+        """Count every valid layout, or return the first feasible spine."""
+        self.count = 0
+        # reversal break: always in find mode, in count mode only without twins
+        self.reverse = not (count_all and self.twin_prev)
+        found = self._extend(count_all)
+        if not count_all:
+            return tuple(self.spine) if found else None
+        if self.twin_prev:
+            return self.count * self.orbit
+        # the reversal break kept one layout of each reversed pair
+        return 2 * self.count if self.n >= 2 else self.count
+
+    def _extend(self, count_all: bool) -> bool:
+        """Place the next vertex, in vertex order, and page its new edges."""
+        i = len(self.spine)
+        if i == self.n:
+            if count_all:
+                self.count += 1
+                return False
+            return True
+        pos, twin_prev = self.pos, self.twin_prev
+        above_before = self.above
+        for rank, v in enumerate(self.verts):
+            if v in pos:
+                continue
+            if twin_prev and v in twin_prev and twin_prev[v] not in pos:
+                continue  # twin break
+            if i == 0:
+                above = self.n - 1 - rank
+            elif v > self.spine[0]:
+                above = above_before - 1
+            else:
+                above = above_before
+            if above == 0 and i + 1 < self.n and self.reverse:
+                continue  # reversal break
+            self.above = above
+            self.spine.append(v)
+            pos[v] = i
+            new_edges = []
+            lo = i
+            for u in self.g.adjacency[v]:
+                self.unplaced_deg[u] -= 1
+                if u in pos:
+                    new_edges.append(edge(v, u))
+                    lo = min(lo, pos[u])
+            new_edges.sort()
+            if (self.q is None or self._cut_ok()) and self._assign(
+                new_edges, 0, lo, count_all
+            ):
+                return True
+            for u in self.g.adjacency[v]:
+                self.unplaced_deg[u] += 1
+            self.spine.pop()
+            del pos[v]
+        self.above = above_before
+        return False
+
+    def _assign(self, new_edges: list[Edge], idx: int, lo: int, count_all: bool) -> bool:
+        """Page the new edges from ``idx`` on in page order, then extend."""
+        if idx == len(new_edges):
+            if new_edges and not self._forward_ok(lo):
+                return False
+            return self._extend(count_all)
+        e = new_edges[idx]
+        a, b = self.pos[e[0]], self.pos[e[1]]
+        if a > b:
+            a, b = b, a
+        gaps, q = self.gaps, self.q
+        for p in range(1, self.pages + 1):
+            if self._conflicts(a, b, p):
+                continue
+            if gaps is not None:
+                span = gaps[p]
+                if max(span[a:b]) >= q:
+                    continue
+                for j in range(a, b):
+                    span[j] += 1
+            self.by_page[p].append((a, b))
+            if self.stack_kind:
+                row = self.cover[p]
+                for j in range(a + 1, b):
+                    row[j] += 1
+            else:
+                ml = self.max_left[p]
+                ml.append(max(ml[-1], a))
+            if self._assign(new_edges, idx + 1, lo, count_all):
+                return True
+            self.by_page[p].pop()
+            if self.stack_kind:
+                for j in range(a + 1, b):
+                    row[j] -= 1
+            else:
+                ml.pop()
+            if gaps is not None:
+                for j in range(a, b):
+                    span[j] -= 1
+        return False
+
+
+# -- literal cut-set state conditions ---------------------------------------
+
+
+def state_left_side(g: Graph, state: StateNode) -> frozenset[str]:
+    if state.is_sentinel:
+        return frozenset(g.vertices) if state.processed_all else frozenset()
+    return left_side(g, state.cut)
+
+
+def _mini_layout_valid(
+    kind: LayoutKind,
+    order_pos: dict[str, int],
+    edges_pages: list[tuple[Edge, int]],
+    width: int,
+) -> bool:
+    """AC-style validity of the cut-only layout: per page, at most ``width``
+    edges and no conflict under :func:`_page_has_conflict`.
+
+    Every edge runs from a source to a sink and all sources precede all
+    sinks, so no edge's right end is another edge's left end.  Two edges of
+    a page therefore either share an endpoint, and never conflict, or have
+    four distinct positions, where the sweep's strict patterns
+    (``a1 < a2 < b1 < b2`` crossing, ``a1 < a2 < b2 < b1`` nesting) are the
+    whole conflict test.  Page width equals the page size here, since every
+    edge of a page spans the source/sink boundary.
+    """
+    per_page: dict[int, list[tuple[int, int]]] = {}
+    for (u, v), p in edges_pages:
+        a, b = order_pos[u], order_pos[v]
+        per_page.setdefault(p, []).append((min(a, b), max(a, b)))
+    return all(
+        len(spans) <= width and not _page_has_conflict(kind, spans)
+        for spans in per_page.values()
+    )
+
+
+def arc_exists(
+    g: Graph,
+    sx: StateNode,
+    sy: StateNode,
+    pages: int,
+    width: int,
+    kind: LayoutKind,
+) -> str | None:
+    """Label vertex of the arc sx -> sy, or None; checks the conditions literally."""
+    proc_x = state_left_side(g, sx)
+    proc_y = state_left_side(g, sy)
+    unproc_x = [v for v in g.vertices if v not in proc_x]
+    fx = set(sx.cut.edges)
+    for v in unproc_x:
+        fy_expected = {e for e in fx if v not in e} | {
+            edge(v, w) for w in g.neighbors(v) if w not in proc_x and w != v
+        }
+        if fy_expected != set(sy.cut.edges):
+            continue
+        if proc_y != proc_x | {v}:
+            continue
+        # order and page agreement on the shared edges
+        shared = fx & fy_expected
+        shared_eps = sorted({u for e in shared for u in e})
+        pos_x = {u: i for i, u in enumerate(sx.cut.order)}
+        pos_y = {u: i for i, u in enumerate(sy.cut.order)}
+        ok = all(
+            (pos_x[a] < pos_x[b]) == (pos_y[a] < pos_y[b])
+            for a, b in itertools.combinations(shared_eps, 2)
+        )
+        if not ok:
+            continue
+        px = dict(zip(sx.cut.edges, sx.page_of))
+        py = dict(zip(sy.cut.edges, sy.page_of))
+        if any(px[e] != py[e] for e in shared):
+            continue
+        # moved vertex sits at the boundary of both orders
+        if v in {u for e in fx for u in e}:
+            _, sinks_x = sx.cut.sources_and_sinks()
+            if not sinks_x or sinks_x[0] != v:
+                continue
+        if v in {u for e in fy_expected for u in e}:
+            sources_y, _ = sy.cut.sources_and_sinks()
+            if not sources_y or sources_y[-1] != v:
+                continue
+        # both boundary layouts must be valid for the kind at this width
+        def mini_ok(state: StateNode) -> bool:
+            if state.is_sentinel:
+                return True
+            pos = {u: i for i, u in enumerate(state.cut.order)}
+            return _mini_layout_valid(
+                kind, pos, list(zip(state.cut.edges, state.page_of)), width
+            )
+
+        if not (mini_ok(sx) and mini_ok(sy)):
+            continue
+        return v
+    return None
 
 
 def without_vertices(g, vs):

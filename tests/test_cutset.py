@@ -14,7 +14,6 @@ from linlay.cutset import (
     S_EMPTY,
     S_FULL,
     StateNode,
-    arc_exists,
     cut_bipartition,
     enumerate_states,
     induce_order,
@@ -23,7 +22,6 @@ from linlay.cutset import (
     left_side,
     solve_bounded_width,
     solve_bounded_width_report,
-    state_left_side,
 )
 from linlay.generators import cycle_graph, random_gnm
 from linlay.graphs import Graph
@@ -31,7 +29,15 @@ from linlay.layouts import LayoutKind, LinearLayout, page_width, spanning_edges,
 from linlay.oracle import OracleQuery, solve_exhaustive
 from linlay.runner import SolveRequest, run
 
-from naive import cycle_of, eager_bounded_width, path_of, random_connected_graph, star_of
+from naive import (
+    arc_exists,
+    cycle_of,
+    eager_bounded_width,
+    path_of,
+    random_connected_graph,
+    star_of,
+    state_left_side,
+)
 
 
 def oriented(edges, order):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -10,11 +12,14 @@ from linlay.layouts import LayoutKind, LinearLayout, page_width, validate_layout
 from linlay.oracle import (
     OracleQuery,
     OracleSizeError,
+    _Search,
     solve_exhaustive,
     solve_exhaustive_all,
 )
+from linlay.runner import SolveRequest, run
 
 from naive import (
+    ReferenceSearch,
     all_layouts,
     complete_of,
     cycle_of,
@@ -28,6 +33,8 @@ from naive import (
     random_graph,
     star_of,
 )
+
+POOL = Path(__file__).resolve().parent.parent / "perfbench" / "pool" / "oracle-exhaust.json"
 
 
 def test_c4_stack_one_page_found(c4):
@@ -100,6 +107,27 @@ def test_witness_and_count_match_naive_enumeration():
                         assert solve_exhaustive_all(query) == count, case
 
 
+def test_search_matches_the_reference_search():
+    """The integer-indexed search with its frontier memo finds the same
+    spine and the same count as the name-keyed reference without a memo,
+    on random connected graphs with n = 6-8, both kinds, 1-2 pages and
+    widths None/1/2/3.  Two-page counts run on the n = 6 graphs only,
+    where the reference stays fast."""
+    rng = random.Random(7)
+    for trial in range(12):
+        n = 6 + trial % 3
+        g = random_connected_graph(rng, n, rng.randint(0, 4))
+        for kind in LayoutKind:
+            for pages in (1, 2):
+                for width in (None, 1, 2, 3):
+                    query = OracleQuery(g, kind, pages, width)
+                    case = (g.edges, kind, pages, width)
+                    assert _Search(query).run(False) == ReferenceSearch(query).run(False), case
+                    if pages == 2 and n > 6:
+                        continue
+                    assert _Search(query).run(True) == ReferenceSearch(query).run(True), case
+
+
 @pytest.mark.xfail(
     strict=True,
     reason="the spine search picks back-edge pages while it extends the spine, so its "
@@ -131,7 +159,7 @@ def test_twin_heavy_witness_and_count_match_naive_enumeration():
         path_of("a", "x", "b"),
     ]
     for g in graphs:
-        assert g.twin_classes()
+        assert g.twin_classes
         for kind in LayoutKind:
             for pages in (1, 2):
                 valid = [
@@ -224,3 +252,34 @@ def test_c6_queue_width_verdicts():
     assert solve_exhaustive(OracleQuery(c6, LayoutKind.QUEUE, 1, max_width=1)) is None
     found = solve_exhaustive(OracleQuery(c6, LayoutKind.QUEUE, 1, max_width=2))
     assert found is not None and page_width(found) <= 2
+
+
+def test_oracle_exhaust_pool_verdicts_witnesses_and_counts():
+    """Every request of the benchmark's oracle-exhaust pool: solves through
+    ``runner.run`` give the stored verdict and lex-first witness, counts
+    through ``solve_exhaustive_all`` the stored exact count."""
+    pool = json.loads(POOL.read_text())
+    requests = [req for slot in pool["slots"] for req in slot]
+    assert len(requests) == 18
+    gens = {"random_gnm": random_gnm, "twin_gadget": twin_gadget}
+    counts = []
+    for req in requests:
+        g = gens[req["graph"]["gen"]](*req["graph"]["args"])
+        kind = LayoutKind(req["kind"])
+        if req["op"] == "count":
+            query = OracleQuery(g, kind, req["pages"], req["width"])
+            count = solve_exhaustive_all(query, guard=req["oracle_guard"])
+            assert count == req["ref"]["count"], req["graph"]
+            counts.append(count)
+            continue
+        report = run(SolveRequest(
+            g, req["algo"], kind, req["pages"], req["width"], oracle_guard=req["oracle_guard"]
+        ))
+        assert report.verdict == req["ref"]["verdict"], req["graph"]
+        if "witness" in req["ref"]:
+            witness = {
+                "spine": list(report.layout.spine),
+                "pages": sorted([u, v, p] for (u, v), p in report.layout.pages.items()),
+            }
+            assert witness == req["ref"]["witness"], req["graph"]
+    assert counts == [16512, 20736, 360, 140, 0, 96]

@@ -117,22 +117,23 @@ def test_twin_gadget_members_are_twins():
 
 def test_twin_classes_open_closed_and_disjoint():
     # open twins share N(v): the leaves of a star, the sides of K_{2,3}
-    assert star_of("c", ["x", "y", "z"]).twin_classes() == (("x", "y", "z"),)
+    assert star_of("c", ["x", "y", "z"]).twin_classes == (("x", "y", "z"),)
     k23 = Graph.from_edges([(a, b) for a in "ab" for b in "xyz"])
-    assert k23.twin_classes() == (("a", "b"), ("x", "y", "z"))
+    assert k23.twin_classes == (("a", "b"), ("x", "y", "z"))
     # closed twins share N[v]: the whole of K_4
-    assert complete_of("a", "b", "c", "d").twin_classes() == (("a", "b", "c", "d"),)
+    assert complete_of("a", "b", "c", "d").twin_classes == (("a", "b", "c", "d"),)
     # the 2-vertex edge is one closed class, the 2-vertex non-edge one open class
-    assert Graph.from_edges([("a", "b")]).twin_classes() == (("a", "b"),)
-    assert Graph.build(["a", "b"], []).twin_classes() == (("a", "b"),)
+    assert Graph.from_edges([("a", "b")]).twin_classes == (("a", "b"),)
+    assert Graph.build(["a", "b"], []).twin_classes == (("a", "b"),)
     # singletons are left out: a path on four vertices has no twins
-    assert path_of("a", "b", "c", "d").twin_classes() == ()
-    assert Graph.build(["a"], []).twin_classes() == ()
+    assert path_of("a", "b", "c", "d").twin_classes == ()
+    assert Graph.build(["a"], []).twin_classes == ()
     # a triangle with a pendant: {a, b} closed twins, isolated {y, z} open twins
     g = Graph.build("abcxyz", [("a", "b"), ("a", "c"), ("b", "c"), ("c", "x")])
-    assert g.twin_classes() == (("a", "b"), ("y", "z"))
+    assert g.twin_classes == (("a", "b"), ("y", "z"))
+    assert g.twin_classes is g.twin_classes  # computed once per graph
     for h in (g, k23, twin_gadget(2, 1, 3), twin_gadget(3, 2, 2)):
-        members = [v for c in h.twin_classes() for v in c]
+        members = [v for c in h.twin_classes for v in c]
         assert len(members) == len(set(members))
 
 

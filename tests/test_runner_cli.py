@@ -80,6 +80,15 @@ def test_cutset_infeasible_detail_names_the_exhaustive_search():
     assert report2.detail == report.detail
 
 
+def test_oracle_infeasible_detail_names_the_exhaustive_search(k4):
+    report = run(SolveRequest(k4, "oracle", LayoutKind.QUEUE, 1))
+    assert report.verdict == "infeasible"
+    assert report.counters == {}
+    assert report.detail == "exhaustive search: no layout"
+    # a found layout carries no detail
+    assert run(SolveRequest(k4, "oracle", LayoutKind.STACK, 2)).detail == ""
+
+
 def test_run_oracle_found(c4):
     report = run(SolveRequest(c4, "oracle", LayoutKind.STACK, 1))
     assert report.verdict == "found" and report.exit_code == 0
