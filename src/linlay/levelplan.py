@@ -18,13 +18,14 @@ cross iff x(a, c) = x(b, d); each precedence pair the caller asks for
 sets one variable.  ``OffsetUnionFind`` with offsets read mod 2 decides
 the system, each equation in time logarithmic in its size, and a
 contradiction rejects the instance before any order is enumerated.  The
-same class over the integers propagates the queue1 solver's levels.
-Without precedence pairs the system is satisfiable exactly when the
-instance is level planar (both papers); with them it is only a necessary
-condition, so the search still decides.
+same class over the integers gives ``queue_one`` the levels of a
+labeling.  Without precedence pairs the system is satisfiable exactly
+when the instance is level planar (both papers); with them it is only a
+necessary condition, so the search still decides.
 ``parity_consistent`` takes a level map, edges and pairs rather than an
-instance, so the queue1 solver decides each branch's system with the same
-code before it builds the branch's instance.
+instance, and any vertex type with a total order, so the queue1 solver
+decides each branch's system with the same code, on vertex indices,
+before it builds the branch's instance.
 
 Correctness is the contract here, not the linear running time of the
 published level-planarity algorithms; instances in this package arrive
@@ -177,10 +178,10 @@ class OffsetUnionFind:
     against its parent's; roots have no entry.
 
     Offsets are integers, and the group they are read in is fixed for the
-    instance: ``modulus`` 0 for the integers (the queue1 solver's levels),
-    2 for parities (the ordering-parity system).  Union by size keeps
-    every path short without compression, so ``rollback`` can undo the
-    unions made since a ``mark`` exactly.
+    instance: ``modulus`` 0 for the integers (``queue_one``'s
+    ``level_assignment_from_labeling``), 2 for parities (the
+    ordering-parity system).  Union by size keeps every path short
+    without compression.
     """
 
     def __init__(self, modulus: int = 0) -> None:
@@ -188,7 +189,6 @@ class OffsetUnionFind:
         self.parent: dict = {}
         self.offset: dict = {}  # value(x) - value(parent(x))
         self.size: dict = {}  # of a root; absent means 1
-        self.trail: list = []  # (child, root) per union, newest last
 
     def find(self, x) -> tuple[object, int]:
         """The root of ``x`` and value(x) - value(root)."""
@@ -212,28 +212,17 @@ class OffsetUnionFind:
         self.parent[rv] = ru
         self.offset[rv] = ou + d - ov
         self.size[ru] = su + sv
-        self.trail.append((rv, ru))
         return True
-
-    def mark(self) -> int:
-        return len(self.trail)
-
-    def rollback(self, mark: int) -> None:
-        """Undo every union made since ``mark``, newest first."""
-        while len(self.trail) > mark:
-            child, root = self.trail.pop()
-            self.size[root] -= self.size.get(child, 1)
-            del self.parent[child], self.offset[child]
 
 
 _FALSE = None  # anchor node of the parity system, the constant 0
 
 
-def parity_consistent(
-    lv: dict[str, int], edges: Iterable[tuple[str, str]], before: Iterable[Precedence]
-) -> bool:
+def parity_consistent(lv, edges: Iterable[tuple], before: Iterable[tuple]) -> bool:
     """Whether the ordering-parity system of the proper edges ``edges`` at
-    levels ``lv``, with units ``before``, has a solution.
+    levels ``lv``, with units ``before``, has a solution.  Vertices may be
+    names (``lv`` a dict) or indices (``lv`` a list); only their order
+    and equality matter.
 
     The variable of a same-level pair u < v is "u is left of v"; the
     literal x(a, c) of the reversed pair is its negation.  Any

@@ -15,15 +15,15 @@ components of a disconnected one and concatenates them).  It branches over
 the 4^m labelings in a fixed order (per edge: forward-ordinary,
 backward-ordinary, forward-arching, backward-arching) and returns the
 first branch that succeeds, pruning labeling prefixes whose level
-constraints are already contradictory.  The constraints live in
-``levelplan.OffsetUnionFind`` over the integers, whose rollback undoes a
-branch's union and which gives each complete labeling its levels.  Each
-complete labeling is first checked on its instance's ordering-parity
-system with the pairs, decided by the same class over parities.  Nearly
-every branch fails there, and only the survivors are built and handed,
-with the pairs, to the level-planarity tester, which decides the same
-system first; so every branch's outcome is the one the tester alone would
-give.
+constraints are already contradictory.  The search runs on vertex
+indices: the components after each edge are fixed in advance (a merge
+plan), and the levels live in one list that shifts the smaller side of
+each join (``_solve_component``).  Each complete labeling is first checked
+on its instance's ordering-parity system with the pairs
+(``levelplan.parity_consistent``, on the indices).  Nearly every branch
+fails there, and only the survivors are named, built and handed, with the
+pairs, to the level-planarity tester, which decides the same system
+first; so every branch's outcome is the one the tester alone would give.
 """
 
 from __future__ import annotations
@@ -163,17 +163,25 @@ def branch_side_filter(g: Graph, lab: Labeling, levels: LevelAssignment) -> list
     w placed before v on the spine, that is, right of v in the row.  Every
     other pair of edges is disjoint, shares an endpoint, or crosses.
     """
-    lv = levels.levels
-    arch_by_level: dict[int, tuple[str, set[str]]] = {}
-    climbers: set[str] = set()  # an ordinary arc (a, b) climbs from a to a's level + 1
-    for (u, v), tag in lab.items():
-        if tag is ArcTag.ARCHING:
+    return _side_pairs(
+        g.vertices, lab.arcs, [tag is ArcTag.ARCHING for tag in lab.tags], levels.levels
+    )
+
+
+def _side_pairs(vertices, arcs, arching, lv) -> list:
+    """``branch_side_filter`` on any vertex type: ``arcs`` with their
+    ``arching`` flags, levels ``lv``, rows in ``vertices`` order.  The
+    search calls it on vertex indices."""
+    arch_by_level: dict = {}
+    climbers = set()  # an ordinary arc (a, b) climbs from a to a's level + 1
+    for (u, v), arch in zip(arcs, arching):
+        if arch:
             arch_by_level.setdefault(lv[u], (u, set()))[1].add(v)
         else:
             climbers.add(u)
     pairs = []
     for i, (source, targets) in sorted(arch_by_level.items()):
-        row = [w for w in g.vertices if lv[w] == i]
+        row = [w for w in vertices if lv[w] == i]
         pairs.extend((source, w) for w in row if w != source)
         uppers = [w for w in row if w in climbers]
         pairs.extend((w, t) for t in sorted(targets) for w in uppers if w != t)
@@ -249,65 +257,139 @@ class BranchResult:
     bound_rejected: bool = False
 
 
+_GAP = (1, -1, 0, 0)  # level(v) - level(u) on edge (u, v), per option of _EDGE_OPTIONS
+
+
+def _merge_plan(n: int, edges: list[tuple[int, int]]) -> list[tuple]:
+    """Per edge, in order: ``(labels, moved, v_moves, closes)``.
+
+    ``labels`` names each vertex's component once the edge is in.  For an
+    edge that joins two components, ``moved`` holds the vertices of the
+    smaller one, ``v_moves`` says whether that side holds the edge's
+    second endpoint, and ``closes`` lists the later edges whose endpoints
+    this edge joins into one component; ``moved`` is empty otherwise.
+    None of this depends on the labels chosen.
+    """
+    label = list(range(n))
+    members = [[w] for w in range(n)]
+    plan = []
+    for u, v in edges:
+        ru, rv = label[u], label[v]
+        moved: tuple[int, ...] = ()
+        v_moves = False
+        if ru != rv:
+            v_moves = len(members[rv]) <= len(members[ru])
+            keep, gone = (ru, rv) if v_moves else (rv, ru)
+            moved = tuple(members[gone])
+            for w in moved:
+                label[w] = keep
+            members[keep] += moved
+        plan.append((tuple(label), moved, v_moves, []))
+    for j, (u, v) in enumerate(edges):
+        k = next(k for k, step in enumerate(plan) if step[0][u] == step[0][v])
+        if k < j:
+            plan[k][3].append((u, v))
+    return plan
+
+
 def _solve_component(g: Graph) -> BranchResult:
-    edges = g.edges
+    """The first labeling, in branch order, whose branch succeeds.
+
+    The search runs on vertex indices (index order is name order).  Which
+    vertices share a component after the first k edges does not depend on
+    the labels, only their levels do, so ``_merge_plan`` fixes the
+    components once.  ``level`` holds each vertex's level relative to its
+    component.  An edge that joins two components admits all four
+    options: the smaller side shifts so the option's step holds, and
+    shifts back on return.  An edge inside a component admits exactly the
+    options whose step (+1, -1 or 0) equals its current level gap.  Two
+    distinct arch sources in one component on one level doom every
+    completion, as before.
+
+    Forward check: a later edge's gap is fixed from the moment one edge
+    joins its endpoints, since every later shift moves a whole component.
+    A gap outside {-1, 0, 1} fits none of its options, so no labeling
+    below the prefix reaches a leaf, and the prefix is cut.  The cut
+    removes only subtrees without leaves, so the leaves, their order and
+    ``branches_tried`` are those of the plain search.
+
+    Each leaf decides its ordering-parity system with its side pairs on
+    the indices; only a leaf that passes gets its ``Labeling``, its
+    ``LevelAssignment`` and ``_decide_branch``, which decides the same
+    system on the names first, so every leaf's outcome is unchanged.
+    """
+    names = g.vertices
+    index = {v: i for i, v in enumerate(names)}
+    edges = [(index[u], index[v]) for u, v in g.edges]
     m = len(edges)
-    uf = OffsetUnionFind()
+    plan = _merge_plan(len(names), edges)
+    arc_options = [((u, v), (v, u), (u, v), (v, u)) for u, v in edges]
+    indices = range(len(names))
+    level = [0] * len(names)
+    choice: list[int] = []  # option per decided edge
+    sources: list[int] = []  # arch sources of the prefix
     tried = 0
-    chosen: list[tuple[bool, ArcTag]] = []
 
     def leaf() -> BranchResult | None:
         nonlocal tried
         tried += 1
-        arcs = tuple(
-            (e[1], e[0]) if flip else e for e, (flip, _) in zip(edges, chosen)
+        low = min(level)
+        lv = [x - low + 1 for x in level]
+        arcs = [arc_options[k][o] for k, o in enumerate(choice)]
+        arching = [o >= 2 for o in choice]
+        pairs = _side_pairs(indices, arcs, arching, lv)
+        ordinary = [arc for arc, a in zip(arcs, arching) if not a]
+        if not parity_consistent(lv, ordinary, pairs):
+            return None
+        lab = Labeling(
+            tuple((names[a], names[b]) for a, b in arcs),
+            tuple(_EDGE_OPTIONS[o][1] for o in choice),
         )
-        lab = Labeling(arcs, tuple(tag for _, tag in chosen))
-        levels = _levels(uf, g.vertices)
+        levels = LevelAssignment.build(dict(zip(names, lv)))
         emb = _decide_branch(g, lab, levels)
         if emb is None:
             return None
-        layout = embedding_to_queue_layout(g, lab, levels, emb)
-        return BranchResult(layout, lab, levels, tried)
+        return BranchResult(embedding_to_queue_layout(g, lab, levels, emb), lab, levels, tried)
 
-    arch_sources: list[str] = []
-
-    def arch_source_clash(a: str) -> bool:
-        # two distinct arch sources already known to share a level doom
-        # every completion of this prefix
-        ra, oa = uf.find(a)
-        for u2 in arch_sources:
-            if u2 == a:
-                continue
-            ru, ou = uf.find(u2)
-            if ru == ra and ou == oa:
-                return True
-        return False
-
-    def rec(idx: int) -> BranchResult | None:
-        if idx == m:
+    def rec(k: int) -> BranchResult | None:
+        if k == m:
             return leaf()
-        u, v = edges[idx]
-        for flip, tag in _EDGE_OPTIONS:
-            d = 1 if tag is ArcTag.ORDINARY else 0
-            a, b = (v, u) if flip else (u, v)
-            mark = uf.mark()
-            if uf.union(a, b, d):
-                arching = tag is ArcTag.ARCHING
-                if arching and arch_source_clash(a):
-                    uf.rollback(mark)
-                    continue
-                if arching:
-                    arch_sources.append(a)
-                chosen.append((flip, tag))
-                result = rec(idx + 1)
-                chosen.pop()
-                if arching:
-                    arch_sources.pop()
-                if result is not None:
-                    uf.rollback(mark)
-                    return result
-            uf.rollback(mark)
+        u, v = edges[k]
+        labels, moved, v_moves, closes = plan[k]
+        gap = level[v] - level[u]
+        for o, want in enumerate(_GAP):
+            shift = 0
+            if moved:
+                shift = want - gap if v_moves else gap - want
+                for w in moved:
+                    level[w] += shift
+                ok = True
+                for x, y in closes:
+                    if not -1 <= level[y] - level[x] <= 1:
+                        ok = False
+                        break
+            else:
+                ok = gap == want
+            if ok and o >= 2:
+                a = v if o == 3 else u  # the arch's source
+                la, ca = level[a], labels[a]
+                for w in sources:
+                    if w != a and level[w] == la and labels[w] == ca:
+                        ok = False
+                        break
+            result = None
+            if ok:
+                if o >= 2:
+                    sources.append(a)
+                choice.append(o)
+                result = rec(k + 1)
+                choice.pop()
+                if o >= 2:
+                    sources.pop()
+            for w in moved:
+                level[w] -= shift
+            if result is not None:
+                return result
         return None
 
     result = rec(0)

@@ -14,7 +14,10 @@ literally, and so reuse package code:
   every component walked in full, against which the capped walk is
   checked;
 - :class:`ReferenceSearch` is the oracle's spine search with name-keyed
-  state and no memo, against which the integer-indexed search is checked.
+  state and no memo, against which the integer-indexed search is checked;
+- :func:`reference_labeling_search` is queue1's labeling search on a
+  name-keyed union-find with rollback (:class:`RollbackUnionFind`) and
+  no forward check, against which the index-level search is checked.
 """
 
 from __future__ import annotations
@@ -27,7 +30,17 @@ from linlay.cutset import S_FULL, OrientedCutSet, StateNode, _successors, left_s
 from linlay.graphs import Edge, Graph, edge
 from linlay.kernel import ViDecomposition
 from linlay.layouts import LayoutKind, LinearLayout, _page_has_conflict
+from linlay.levelplan import OffsetUnionFind
 from linlay.oracle import OracleQuery
+from linlay.queue_one import (
+    _EDGE_OPTIONS,
+    ArcTag,
+    BranchResult,
+    Labeling,
+    _decide_branch,
+    _levels,
+    embedding_to_queue_layout,
+)
 
 
 def naive_conflicting_pairs(g, layout):
@@ -322,6 +335,106 @@ class ReferenceSearch:
 
 
 # -- literal cut-set state conditions ---------------------------------------
+
+
+class RollbackUnionFind(OffsetUnionFind):
+    """``OffsetUnionFind`` that can undo its unions: ``mark`` returns the
+    number made so far, and ``rollback`` undoes every later one, newest
+    first.  Union by size keeps the paths short, and nothing compresses
+    them, so undoing a union restores every find exactly."""
+
+    def __init__(self, modulus: int = 0) -> None:
+        super().__init__(modulus)
+        self.trail: list = []  # (child, root) per union, newest last
+
+    def union(self, u, v, d: int) -> bool:
+        ru, rv = self.find(u)[0], self.find(v)[0]
+        if not super().union(u, v, d):
+            return False
+        if ru != rv:
+            child = rv if rv in self.parent else ru
+            self.trail.append((child, self.parent[child]))
+        return True
+
+    def mark(self) -> int:
+        return len(self.trail)
+
+    def rollback(self, mark: int) -> None:
+        while len(self.trail) > mark:
+            child, root = self.trail.pop()
+            self.size[root] -= self.size.get(child, 1)
+            del self.parent[child], self.offset[child]
+
+
+def reference_labeling_search(g: Graph, leaves: list | None = None) -> BranchResult:
+    """queue1's labeling search with its levels in a union-find: per edge,
+    each option in ``_EDGE_OPTIONS`` order is unioned, kept when consistent
+    and without an arch-source clash, and rolled back after its subtree.
+    Every leaf decides its branch with ``_decide_branch``; ``leaves``, when
+    given, receives each leaf's ``(labeling, levels)`` in visiting order."""
+    edges = g.edges
+    m = len(edges)
+    uf = RollbackUnionFind()
+    tried = 0
+    chosen: list[tuple[bool, ArcTag]] = []
+
+    def leaf() -> BranchResult | None:
+        nonlocal tried
+        tried += 1
+        arcs = tuple((e[1], e[0]) if flip else e for e, (flip, _) in zip(edges, chosen))
+        lab = Labeling(arcs, tuple(tag for _, tag in chosen))
+        levels = _levels(uf, g.vertices)
+        if leaves is not None:
+            leaves.append((lab, levels))
+        emb = _decide_branch(g, lab, levels)
+        if emb is None:
+            return None
+        return BranchResult(embedding_to_queue_layout(g, lab, levels, emb), lab, levels, tried)
+
+    arch_sources: list[str] = []
+
+    def arch_source_clash(a: str) -> bool:
+        # two distinct arch sources already known to share a level doom
+        # every completion of this prefix
+        ra, oa = uf.find(a)
+        for u2 in arch_sources:
+            if u2 == a:
+                continue
+            ru, ou = uf.find(u2)
+            if ru == ra and ou == oa:
+                return True
+        return False
+
+    def rec(idx: int) -> BranchResult | None:
+        if idx == m:
+            return leaf()
+        u, v = edges[idx]
+        for flip, tag in _EDGE_OPTIONS:
+            d = 1 if tag is ArcTag.ORDINARY else 0
+            a, b = (v, u) if flip else (u, v)
+            mark = uf.mark()
+            if uf.union(a, b, d):
+                arching = tag is ArcTag.ARCHING
+                if arching and arch_source_clash(a):
+                    uf.rollback(mark)
+                    continue
+                if arching:
+                    arch_sources.append(a)
+                chosen.append((flip, tag))
+                result = rec(idx + 1)
+                chosen.pop()
+                if arching:
+                    arch_sources.pop()
+                if result is not None:
+                    uf.rollback(mark)
+                    return result
+            uf.rollback(mark)
+        return None
+
+    result = rec(0)
+    if result is not None:
+        return result
+    return BranchResult(None, None, None, tried)
 
 
 def state_left_side(g: Graph, state: StateNode) -> frozenset[str]:

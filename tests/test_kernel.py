@@ -9,7 +9,7 @@ import pytest
 
 from linlay.generators import twin_gadget
 from linlay.graphs import Graph
-from linlay import kernel
+from linlay import kernel, runner
 from linlay.kernel import (
     GuidingError,
     ViDecomposition,
@@ -237,6 +237,25 @@ def test_kernel_lift_pool_verdicts_and_counters():
         assert report.verdict == req["ref"]["verdict"], req["graph"]
         for key in ("vi", "kernel_vertices", "kernel_groups", "lifted"):
             assert report.counters[key] == req["counters"][key], (req["graph"], key)
+
+
+def test_lifted_layout_is_validated_once(monkeypatch):
+    """``lift_layout`` validates the layout it lifts and ``runner.run``
+    does not check it again; a layout the inner solver gives for the
+    whole graph is checked by the runner."""
+    calls = []
+    for module in (kernel, runner):
+        check = module.validate_layout
+        monkeypatch.setattr(module, "validate_layout", lambda g, layout, check=check,
+                            name=module.__name__: calls.append(name) or check(g, layout))
+    g = twin_gadget(2, 1, 8)
+    lifted = run(SolveRequest(g, "kernel", LayoutKind.STACK, 1, threshold=5))
+    assert lifted.verdict == "found" and lifted.counters["lifted"] == 1
+    assert calls == ["linlay.kernel"]
+    calls.clear()
+    whole = run(SolveRequest(g, "kernel", LayoutKind.STACK, 1))
+    assert whole.verdict == "found" and "lifted" not in whole.counters
+    assert calls == ["linlay.runner"]
 
 
 def test_twin_relation_is_equivalence():

@@ -184,27 +184,6 @@ def test_precedence_pairs_are_checked():
     assert find_level_embedding(path, before=[("c", "a"), ("a", "c")]) is None
 
 
-def set_sizes(uf, nodes):
-    return {x: uf.size.get(uf.find(x)[0], 1) for x in nodes}
-
-
-@pytest.mark.parametrize("modulus", [0, 2])
-def test_union_find_rollback_restores_finds_and_sizes(modulus):
-    nodes = "abcdefg"
-    uf = OffsetUnionFind(modulus)
-    assert uf.union("a", "b", 1) and uf.union("c", "d", 1)
-    before = [uf.find(x) for x in nodes], set_sizes(uf, nodes)
-    mark = uf.mark()
-    assert uf.union("b", "c", 1) and uf.union("e", "a", 0)
-    assert uf.union("f", "g", 1) and uf.union("g", "d", 1)
-    assert set(set_sizes(uf, nodes).values()) == {7}
-    uf.rollback(mark)
-    assert ([uf.find(x) for x in nodes], set_sizes(uf, nodes)) == before
-    uf.rollback(0)
-    assert [uf.find(x) for x in nodes] == [(x, 0) for x in nodes]
-    assert set(set_sizes(uf, nodes).values()) == {1}
-
-
 def test_union_find_over_the_integers_rejects_a_cycle_with_nonzero_sum():
     uf = OffsetUnionFind()
     assert uf.union("a", "b", 1) and uf.union("b", "c", 1)

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 
 import pytest
 
+from linlay.catalog import catalog_upto
 from linlay.graphs import Graph
 from linlay import levelplan, queue_one
 from linlay.generators import random_gnm
@@ -23,9 +26,19 @@ from linlay.queue_one import (
     solve_queue_one_page,
     solve_queue_one_page_report,
 )
+from linlay.runner import SolveRequest, run
 
 from arched_reference import arched_embedding_exists, side_conditions_accept
-from naive import cycle_of, path_of, random_connected_graph, star_of
+from naive import (
+    RollbackUnionFind,
+    cycle_of,
+    path_of,
+    random_connected_graph,
+    reference_labeling_search,
+    star_of,
+)
+
+POOL = Path(__file__).resolve().parent.parent / "perfbench" / "pool" / "queue1-gnm.json"
 
 
 def lab_of(*items):
@@ -218,24 +231,107 @@ def test_level_assignment_rejects_disconnected_graph():
     assert level_assignment_from_labeling(Graph.build([], []), Labeling((), ())).levels == {}
 
 
-def test_leaf_levels_match_level_assignment_from_labeling(monkeypatch):
-    """The search reads each leaf's levels off its union-find; they must be
-    the labeling's own levels, lowest level 1.  Every leaf computes its side
-    pairs; only the leaves whose parity system is consistent get an instance."""
-    side_filter = queue_one.branch_side_filter
+def search_leaves(monkeypatch, g):
+    """The labeling search's report on the connected graph ``g`` and each
+    of its leaves as ``(labeling, level map)``, in visiting order.
+
+    Every leaf computes its side pairs with ``_side_pairs`` on vertex
+    indices (a ``range``); a leaf that passes its parity system calls it
+    again through ``branch_side_filter``, on names, which is not a leaf.
+    """
+    side_pairs = queue_one._side_pairs
+    names = g.vertices
     leaves = []
 
-    def checked(g, lab, levels):
-        assert levels == level_assignment_from_labeling(g, lab)
-        assert min(levels.levels.values()) == 1
-        leaves.append(lab)
-        return side_filter(g, lab, levels)
+    def hooked(vertices, arcs, arching, lv):
+        if isinstance(vertices, range):
+            lab = Labeling(
+                tuple((names[a], names[b]) for a, b in arcs),
+                tuple(ArcTag.ARCHING if arch else ArcTag.ORDINARY for arch in arching),
+            )
+            leaves.append((lab, dict(zip(names, lv))))
+        return side_pairs(vertices, arcs, arching, lv)
 
-    monkeypatch.setattr(queue_one, "branch_side_filter", checked)
+    with monkeypatch.context() as patch:
+        patch.setattr(queue_one, "_side_pairs", hooked)
+        report = queue_one._solve_component(g)
+    return report, leaves
+
+
+def test_leaf_levels_match_level_assignment_from_labeling(monkeypatch):
+    """The search keeps each leaf's levels in one list, shifted at the
+    leaf so the lowest is 1; they must be the labeling's own levels.
+    Every leaf computes its side pairs on vertex indices; only the leaves
+    whose parity system is consistent get named objects."""
     for n, m, seed in [(6, 7, 1), (7, 8, 2), (7, 9, 5), (8, 10, 3), (8, 11, 7), (9, 12, 4)]:
-        leaves.clear()
-        report = solve_queue_one_page_report(random_gnm(n, m, seed))
+        g = random_gnm(n, m, seed)
+        report, leaves = search_leaves(monkeypatch, g)
+        for lab, levels in leaves:
+            assert LevelAssignment(levels) == level_assignment_from_labeling(g, lab)
+            assert min(levels.values()) == 1
         assert len(leaves) == report.branches_tried > 0
+
+
+def test_search_matches_the_reference_labeling_search(monkeypatch):
+    """The index-level search against the union-find search it replaced:
+    the same leaves in the same order, the same ``branches_tried``, and
+    the same labeling, levels and spine.  Pruning at a level gap of 1 in
+    the forward check, or dropping the arch-source clash test, fails
+    here."""
+    graphs = [g for g in catalog_upto(7) if g.is_connected() and 1 <= g.m <= 14][::8]
+    rng = random.Random(52)
+    for _ in range(40):
+        n = rng.randint(7, 9)
+        graphs.append(random_connected_graph(rng, n, rng.randint(0, n + 3)))
+    found = 0
+    for g in graphs:
+        want_leaves = []
+        want = reference_labeling_search(g, want_leaves)
+        got, leaves = search_leaves(monkeypatch, g)
+        assert leaves == [(lab, levels.levels) for lab, levels in want_leaves], g.edges
+        assert got.branches_tried == want.branches_tried == len(leaves)
+        assert got.labeling == want.labeling
+        assert got.levels == want.levels
+        assert (got.layout is None) == (want.layout is None)
+        if got.layout is not None:
+            assert got.layout.spine == want.layout.spine
+            found += 1
+    assert 0 < found < len(graphs)
+
+
+@pytest.mark.parametrize("modulus", [0, 2])
+def test_union_find_rollback_restores_finds_and_sizes(modulus):
+    def set_sizes(uf, nodes):
+        return {x: uf.size.get(uf.find(x)[0], 1) for x in nodes}
+
+    nodes = "abcdefg"
+    uf = RollbackUnionFind(modulus)
+    assert uf.union("a", "b", 1) and uf.union("c", "d", 1)
+    before = [uf.find(x) for x in nodes], set_sizes(uf, nodes)
+    mark = uf.mark()
+    assert uf.union("b", "c", 1) and uf.union("e", "a", 0)
+    assert uf.union("f", "g", 1) and uf.union("g", "d", 1)
+    assert set(set_sizes(uf, nodes).values()) == {7}
+    uf.rollback(mark)
+    assert ([uf.find(x) for x in nodes], set_sizes(uf, nodes)) == before
+    uf.rollback(0)
+    assert [uf.find(x) for x in nodes] == [(x, 0) for x in nodes]
+    assert set(set_sizes(uf, nodes).values()) == {1}
+
+
+def test_queue1_pool_verdicts_and_branches():
+    """Every request of the benchmark's queue1-gnm pool, replayed through
+    ``runner.run``, gives the stored verdict and ``branches`` counter."""
+    pool = json.loads(POOL.read_text())
+    requests = [req for slot in pool["slots"] for req in slot]
+    assert len(requests) == 14
+    for req in requests:
+        assert req["op"] == "solve" and req["graph"]["gen"] == "random_gnm"
+        report = run(SolveRequest(
+            random_gnm(*req["graph"]["args"]), req["algo"], LayoutKind(req["kind"]), req["pages"]
+        ))
+        assert report.verdict == req["ref"]["verdict"], req["graph"]
+        assert report.counters["branches"] == req["counters"]["branches"], req["graph"]
 
 
 def test_verdicts_match_oracle_small():
