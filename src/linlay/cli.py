@@ -69,9 +69,9 @@ def _at_least(least: int):
     return parse
 
 
-def _dump_path(text: str) -> str:
-    """Argument type: a dump file path; ``-`` is refused, since stdout
-    carries the JSON report."""
+def _file_path(text: str) -> str:
+    """Argument type: a file path beside the JSON report; ``-`` is
+    refused, since stdout carries the report."""
     if text == "-":
         raise argparse.ArgumentTypeError("cannot write to '-': stdout carries the JSON report")
     return text
@@ -258,8 +258,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exhaustive reference solver")
     p.add_argument("graph")
     _add_common_solver_args(p)
-    p.add_argument("--out", default=None, help="write the witness layout JSON here")
-    p.add_argument("--count", action="store_true", help="count all valid layouts")
+    out = p.add_mutually_exclusive_group()
+    out.add_argument("--out", default=None, help="write the witness layout JSON here")
+    out.add_argument("--count", action="store_true", help="count all valid layouts")
     p.add_argument("--guard", type=_at_least(0), default=DEFAULT_GUARD)
     p.set_defaults(fn=cmd_oracle)
 
@@ -267,7 +268,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("--algo", choices=ALGORITHMS, required=True)
     _add_common_solver_args(p)
-    p.add_argument("--out", default=None, help="write the witness layout JSON here")
+    p.add_argument("--out", type=_file_path, default=None,
+                   help="write the witness layout JSON here")
     p.add_argument("--inner", choices=["oracle", "cutset"], default="oracle")
     p.add_argument("--threshold", type=_at_least(0), default=None,
                    help="kernel largeness override")
@@ -275,8 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="oracle size guard")
     p.add_argument("--edge-guard", type=_at_least(0), default=DEFAULT_EDGE_GUARD,
                    help="queue1 labeling guard")
-    p.add_argument("--dump-states", type=_dump_path, default=None)
-    p.add_argument("--dump-branch", type=_dump_path, default=None)
+    p.add_argument("--dump-states", type=_file_path, default=None)
+    p.add_argument("--dump-branch", type=_file_path, default=None)
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("vi", help="vertex integrity and witnessing separator")
@@ -320,6 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "kernelize" and args.out_graph == args.out_cert:
+        parser.error(f"--out-graph and --out-cert both write to {args.out_cert!r}")
     try:
         return args.fn(args)
     except (FormatError, GraphError, GeneratorError, LayoutDomainError, RequestError) as exc:

@@ -19,7 +19,7 @@ from .kernel import (
     lift_layout,
     oracle_solver,
 )
-from .layouts import LayoutKind, LinearLayout, page_width, validate_layout
+from .layouts import LayoutKind, LinearLayout, validate_layout
 from .oracle import DEFAULT_GUARD, OracleQuery, OracleSizeError, solve_exhaustive
 from .queue_one import (
     DEFAULT_EDGE_GUARD,
@@ -27,9 +27,6 @@ from .queue_one import (
     BranchResult,
     solve_queue_one_page_report,
 )
-
-ALGORITHMS = ("oracle", "cutset", "queue1", "kernel")
-
 
 class RequestError(ValueError):
     pass
@@ -90,6 +87,10 @@ class RunReport:
 
 _BOUND_DETAIL = "rejected by the edge-count bound"
 
+# what each solver returns: its layout (checked by the code that built it),
+# its counters and, without a layout, the stage that decided
+_Solved = tuple[LinearLayout | None, dict[str, int], str]
+
 
 def _solve_components(
     req: SolveRequest, solve: Callable[[Graph], CutsetReport | BranchResult]
@@ -98,20 +99,36 @@ def _solve_components(
 
     Stops at the first component with no layout and returns None with
     that component's report; the report is None when every component
-    has a layout.
+    has a layout.  A single component's layout is returned as its solver
+    returned (and checked) it.  A concatenation of two or more is the
+    one layout built here, so it is checked here, once.  Each component
+    fills one block of the spine, so edges of different components can
+    neither cross nor nest, and every gap's width is one component's
+    width: the solvers' own checks already bound it.
     """
-    spine: list[str] = []
-    page_map = {}
+    layouts = []
     for comp in req.graph.components():
         rep = solve(req.graph.induced(comp))
         if rep.layout is None:
             return None, rep
-        spine.extend(rep.layout.spine)
-        page_map.update(rep.layout.pages)
-    return LinearLayout(req.kind, req.pages, tuple(spine), page_map), None
+        layouts.append(rep.layout)
+    if len(layouts) == 1:
+        return layouts[0], None
+    spine = tuple(v for layout in layouts for v in layout.spine)
+    page_map = {e: p for layout in layouts for e, p in layout.pages.items()}
+    layout = LinearLayout(req.kind, req.pages, spine, page_map)
+    report = validate_layout(req.graph, layout)
+    assert report.ok, f"concatenated layout is invalid: {report.violations!r}"
+    return layout, None
 
 
-def _solve_cutset(req: SolveRequest) -> tuple[LinearLayout | None, dict[str, int], str]:
+def _solve_oracle(req: SolveRequest) -> _Solved:
+    query = OracleQuery(req.graph, req.kind, req.pages, req.width)
+    layout = solve_exhaustive(query, guard=req.oracle_guard)
+    return layout, {}, "" if layout is not None else "exhaustive search: no layout"
+
+
+def _solve_cutset(req: SolveRequest) -> _Solved:
     width = req.width if req.width is not None else max(req.graph.m, 1)
     counters = {"states": 0, "arcs": 0}
     dump_lines: list[str] = []
@@ -139,7 +156,7 @@ def _solve_cutset(req: SolveRequest) -> tuple[LinearLayout | None, dict[str, int
     return None, counters, f"exhaustive search: no path after {failed.states_seen} states"
 
 
-def _solve_queue1(req: SolveRequest) -> tuple[LinearLayout | None, dict[str, int], str]:
+def _solve_queue1(req: SolveRequest) -> _Solved:
     if not edge_count_bound(req.graph, req.kind, req.pages):
         return None, {}, _BOUND_DETAIL
     counters = {"branches": 0}
@@ -167,10 +184,11 @@ def _solve_queue1(req: SolveRequest) -> tuple[LinearLayout | None, dict[str, int
     return layout, counters, ""
 
 
-def _solve_kernel(req: SolveRequest) -> tuple[LinearLayout | None, dict[str, int]]:
+def _solve_kernel(req: SolveRequest) -> _Solved:
     """Kernelize, solve the kernel, lift; fall back to solving g directly
     when the guided lift is unavailable.  The verdict always equals the
-    inner solver's verdict on g."""
+    inner solver's verdict on g, and ``detail`` says which graph had no
+    layout."""
     g = req.graph
     counters: dict[str, int] = {}
     dec = compute_vertex_integrity(g)
@@ -189,74 +207,48 @@ def _solve_kernel(req: SolveRequest) -> tuple[LinearLayout | None, dict[str, int
                 counters[key] = counters.get(key, 0) + value
             return layout
 
-    if cert.covers_whole_graph(g):
-        return inner(g, req.kind, req.pages), counters
-    kernel_layout = inner(cert.graph, req.kind, req.pages)
-    if kernel_layout is None:
-        return None, counters  # an induced subgraph with no layout settles g
-    guide = None
-    if cert.group_count >= 5:
-        guide = find_guiding_sublayout(kernel_layout, cert)
-    if guide is not None:
-        counters["lifted"] = 1
-        return lift_layout(guide, cert, g), counters
-    counters["lifted"] = 0
-    return inner(g, req.kind, req.pages), counters
+    if not cert.covers_whole_graph(g):
+        kernel_layout = inner(cert.graph, req.kind, req.pages)
+        if kernel_layout is None:  # an induced subgraph with no layout settles g
+            return None, counters, f"no layout of the reduced graph on {cert.graph.n} vertices"
+        guide = None
+        if cert.group_count >= 5:
+            guide = find_guiding_sublayout(kernel_layout, cert)
+        counters["lifted"] = int(guide is not None)
+        if guide is not None:
+            return lift_layout(guide, cert, g), counters, ""
+    layout = inner(g, req.kind, req.pages)
+    return layout, counters, "" if layout is not None else "no layout of the whole graph"
+
+
+_SOLVERS: dict[str, Callable[[SolveRequest], _Solved]] = {
+    "oracle": _solve_oracle,
+    "cutset": _solve_cutset,
+    "queue1": _solve_queue1,
+    "kernel": _solve_kernel,
+}
+ALGORITHMS = tuple(_SOLVERS)
 
 
 def run(req: SolveRequest) -> RunReport:
-    g = req.graph
+    """Run the request's solver.  Every layout it returns was checked by
+    the code that built it; a size or branch guard becomes a refusal."""
     params: dict[str, object] = {
         "algorithm": req.algorithm,
         "kind": req.kind.value,
         "pages": req.pages,
         "width": req.width,
-        "n": g.n,
-        "m": g.m,
+        "n": req.graph.n,
+        "m": req.graph.m,
     }
-    counters: dict[str, int] = {}
-    detail = ""
     t0 = time.perf_counter()
     try:
-        if req.algorithm == "oracle":
-            layout = solve_exhaustive(
-                OracleQuery(g, req.kind, req.pages, req.width), guard=req.oracle_guard
-            )
-            if layout is None:
-                detail = "exhaustive search: no layout"
-        elif req.algorithm == "kernel":
-            layout, counters = _solve_kernel(req)
-        else:
-            solve = _solve_cutset if req.algorithm == "cutset" else _solve_queue1
-            layout, counters, detail = solve(req)
+        layout, counters, detail = _SOLVERS[req.algorithm](req)
+        verdict = "found" if layout is not None else "infeasible"
     except (OracleSizeError, BranchGuardError) as exc:
-        return RunReport(
-            "refused",
-            None,
-            {"solve": (time.perf_counter() - t0) * 1000},
-            counters,
-            params,
-            detail=str(exc),
-        )
-    solve_ms = (time.perf_counter() - t0) * 1000
-
-    t1 = time.perf_counter()
-    if layout is not None:
-        if not counters.get("lifted"):  # lift_layout validates what it lifts
-            report = validate_layout(g, layout)
-            assert report.ok, f"solver returned an invalid layout: {report.violations!r}"
-        if req.width is not None:
-            assert page_width(layout) <= req.width
-    validate_ms = (time.perf_counter() - t1) * 1000
-
-    return RunReport(
-        "found" if layout is not None else "infeasible",
-        layout,
-        {"solve": solve_ms, "validate": validate_ms},
-        counters,
-        params,
-        detail=detail,
-    )
+        layout, counters, detail, verdict = None, {}, str(exc), "refused"
+    timings = {"solve": (time.perf_counter() - t0) * 1000}
+    return RunReport(verdict, layout, timings, counters, params, detail=detail)
 
 
 def _atomic_write(path: str, data: str) -> None:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from linlay import cutset, kernel, oracle, queue_one, runner
 from linlay.cli import main
 from linlay.fileformats import layout_from_json, layout_to_json, serialize_graph
 from linlay.generators import complete_graph, cycle_graph, random_gnm, twin_gadget
@@ -87,6 +88,62 @@ def test_oracle_infeasible_detail_names_the_exhaustive_search(k4):
     assert report.detail == "exhaustive search: no layout"
     # a found layout carries no detail
     assert run(SolveRequest(k4, "oracle", LayoutKind.STACK, 2)).detail == ""
+
+
+def test_kernel_infeasible_detail_names_the_graph_without_a_layout(k4):
+    report = run(SolveRequest(k4, "kernel", LayoutKind.QUEUE, 1))
+    assert report.verdict == "infeasible"
+    assert report.detail == "no layout of the whole graph"
+    # the K5 core of the reduced graph has no 1-page stack layout
+    g = twin_gadget(5, 1, 8)
+    report = run(SolveRequest(g, "kernel", LayoutKind.STACK, 1, threshold=5))
+    assert report.verdict == "infeasible" and report.counters["kernel_vertices"] == 10
+    assert report.detail == "no layout of the reduced graph on 10 vertices"
+    # a found layout carries no detail
+    assert run(SolveRequest(k4, "kernel", LayoutKind.STACK, 2)).detail == ""
+
+
+def test_each_layout_is_checked_once_by_the_code_that_built_it(monkeypatch, c4, k4):
+    """Every solver path checks the layout it returns exactly once: the
+    solver its own, the runner only a concatenation of components, and
+    ``lift_layout`` a lifted layout."""
+    calls = []
+    for module in (runner, oracle, cutset, queue_one, kernel):
+        check, name = module.validate_layout, module.__name__.split(".")[-1]
+        monkeypatch.setattr(module, "validate_layout", lambda g, layout, check=check, name=name:
+                            calls.append((name, layout.spine)) or check(g, layout))
+
+    def checks(req):
+        calls.clear()
+        report = run(req)
+        return report, list(calls)
+
+    report, seen = checks(SolveRequest(c4, "oracle", LayoutKind.STACK, 1))
+    assert seen == [("oracle", report.layout.spine)]
+
+    c5 = cycle_graph(5)
+    two = Graph.from_edges([*c5.edges, *((f"x{u}", f"x{w}") for u, w in c5.edges)])
+    for algo, kind, solver in [("cutset", LayoutKind.STACK, "cutset"),
+                               ("queue1", LayoutKind.QUEUE, "queue_one")]:
+        report, seen = checks(SolveRequest(c5, algo, kind, 1))
+        assert seen == [(solver, report.layout.spine)]
+        report, seen = checks(SolveRequest(two, algo, kind, 1))
+        spine = report.layout.spine
+        assert seen == [(solver, spine[:5]), (solver, spine[5:]), ("runner", spine)]
+
+    g = twin_gadget(2, 1, 8)
+    lifted, seen = checks(SolveRequest(g, "kernel", LayoutKind.STACK, 1, threshold=5))
+    assert lifted.verdict == "found" and lifted.counters["lifted"] == 1
+    assert [name for name, _ in seen] == ["oracle", "kernel"]
+    assert seen[1] == ("kernel", lifted.layout.spine)
+    for inner, solver in [("oracle", "oracle"), ("cutset", "cutset")]:
+        whole, seen = checks(SolveRequest(g, "kernel", LayoutKind.STACK, 1, inner=inner))
+        assert whole.verdict == "found" and "lifted" not in whole.counters
+        assert seen == [(solver, whole.layout.spine)]
+
+    for algo in ("oracle", "cutset", "queue1", "kernel"):
+        report, seen = checks(SolveRequest(k4, algo, LayoutKind.QUEUE, 1))
+        assert report.verdict == "infeasible" and seen == []
 
 
 def test_run_oracle_found(c4):
@@ -234,15 +291,29 @@ def test_cli_invalid_arguments_exit_3(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
-    "algo, kind, flag",
-    [("cutset", "stack", "--dump-states"), ("queue1", "queue", "--dump-branch")],
+    "argv, flag",
+    [
+        pytest.param(["solve", "G", "--algo", "cutset", "--kind", "stack", "--pages", "1",
+                      "--dump-states", "-"], "--dump-states", id="cutset-stack---dump-states"),
+        pytest.param(["solve", "G", "--algo", "queue1", "--kind", "queue", "--pages", "1",
+                      "--dump-branch", "-"], "--dump-branch", id="queue1-queue---dump-branch"),
+        pytest.param(["solve", "G", "--algo", "queue1", "--kind", "queue", "--pages", "1",
+                      "--out", "-"], "--out", id="solve---out"),
+        pytest.param(["oracle", "G", "--kind", "queue", "--pages", "1", "--count",
+                      "--out", "c5.json"], "--out", id="oracle---count---out"),
+        pytest.param(["kernelize", "G", "--pages", "1", "--out-graph", "-"], "--out-graph",
+                     id="kernelize---out-graph"),
+        pytest.param(["kernelize", "G", "--pages", "1", "--out-graph", "k", "--out-cert", "k"],
+                     "--out-cert", id="kernelize---out-graph---out-cert"),
+    ],
 )
-def test_cli_dump_to_dash_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch, algo, kind, flag):
-    # stdout carries the JSON report, so '-' cannot name the dump
+def test_cli_dump_to_dash_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch, argv, flag):
+    # stdout carries the JSON report, so '-' cannot name a dump or the witness;
+    # no flag is silently ignored, and no two outputs share stdout or a file
     path = write_graph(tmp_path, cycle_graph(5))
     monkeypatch.chdir(tmp_path)
     with pytest.raises(SystemExit) as exc:
-        main(["solve", path, "--algo", algo, "--kind", kind, "--pages", "1", flag, "-"])
+        main([path if a == "G" else a for a in argv])
     assert exc.value.code == 3
     captured = capsys.readouterr()
     assert captured.out == ""
