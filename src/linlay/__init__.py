@@ -3,7 +3,6 @@
 from .bounds import edge_count_bound
 from .cutset import (
     OrientedCutSet,
-    StateNode,
     enumerate_states,
     induce_order,
     is_nicely_oriented,

@@ -19,7 +19,7 @@ taken at a time, and the search stops as soon as the goal is recorded.  The
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Iterator
 
@@ -71,28 +71,6 @@ class OrientedCutSet:
             else:
                 raise CutSetError(f"endpoint {v!r} is neither a pure source nor a pure sink")
         return tuple(sources), tuple(sinks)
-
-
-@dataclass(frozen=True)
-class StateNode:
-    cut: OrientedCutSet
-    page_of: tuple[int, ...]  # aligned with cut.edges
-    processed_all: bool = False  # distinguishes the two empty-cut sentinels
-
-    @classmethod
-    def sentinel(cls, full: bool) -> "StateNode":
-        return cls(OrientedCutSet((), ()), (), full)
-
-    @property
-    def is_sentinel(self) -> bool:
-        return not self.cut.edges
-
-    def key(self):
-        return (self.cut.edges, self.cut.order, self.page_of, self.processed_all)
-
-
-S_EMPTY = StateNode.sentinel(full=False)
-S_FULL = StateNode.sentinel(full=True)
 
 
 # -- cut-set structure -------------------------------------------------------
@@ -249,8 +227,7 @@ def _successors(
     four entries, and the split of the endpoint order into sources and sinks
     is fixed by the cut edges.  The two empty-cut sentinels are the only
     states that share those entries, and ``processed`` (empty or all of V)
-    tells them apart.  The tuples therefore fall into the same classes as
-    the (edges, endpoint order, pages, sentinel) keys of :class:`StateNode`.
+    tells them apart.
 
     Pair validity against the retained edges reduces to sink positions:
     the moved vertex becomes the rightmost source, so a new edge crosses a
@@ -355,18 +332,25 @@ def _page_combos(
     return out
 
 
+def _sentinels(g: Graph) -> tuple[tuple, tuple]:
+    """The empty-cut start (nothing processed) and goal (all processed)."""
+    return ((), (), (), (), frozenset()), ((), (), (), (), frozenset(g.vertices))
+
+
 def enumerate_states(
     g: Graph, pages: int, width: int, kind: LayoutKind
-) -> Iterator[StateNode]:
+) -> Iterator[tuple]:
     """All consistent states: sentinels plus every nicely oriented cut-set of
     size up to width*pages with a page assignment of at most ``width`` edges
     per page.  Orders enumerate both side orientations and all source/sink
     permutations; validity beyond the node conditions is not filtered here.
+    States are the search's tuples (see :func:`_successors`), and a cut's
+    ``processed`` is its source side.
     """
-    yield S_EMPTY
-    yield S_FULL
+    yield from _sentinels(g)
     all_edges = list(g.edges)
     for size in range(1, width * pages + 1):
+        page_vectors = _page_combos(size, pages, {}, width, False)
         for combo in itertools.combinations(all_edges, size):
             sides = cut_bipartition(g, combo)
             if sides is None:
@@ -378,26 +362,29 @@ def enumerate_states(
                 snks = sorted(eps & snk_side)
                 for sp in itertools.permutations(srcs):
                     for tp in itertools.permutations(snks):
-                        order = sp + tp
-                        for pv in itertools.product(range(1, pages + 1), repeat=size):
-                            counts: dict[int, int] = {}
-                            ok = True
-                            for p in pv:
-                                counts[p] = counts.get(p, 0) + 1
-                                if counts[p] > width:
-                                    ok = False
-                                    break
-                            if ok:
-                                yield StateNode(OrientedCutSet(combo, order), pv)
+                        for pv in page_vectors:
+                            yield combo, sp, tp, pv, src_side
+
+
+def state_line(state: tuple) -> str:
+    """One ``--dump-states`` line: cut edges, endpoint order, page vector."""
+    cut_edges, sources, sinks, pagevec, _ = state
+    edge_txt = ",".join(f"{u}-{w}" for u, w in cut_edges) or "-"
+    order_txt = "<".join(sources + sinks) or "-"
+    pages_txt = ",".join(map(str, pagevec)) or "-"
+    return f"{edge_txt} | {order_txt} | {pages_txt}"
 
 
 @dataclass
 class CutsetReport:
     layout: LinearLayout | None
     bound_rejected: bool
-    states_seen: int
+    states: list[tuple]  # recorded states in record order, the start excluded
     arcs_seen: int
-    dumped_states: list[StateNode] = field(default_factory=list)
+
+    @property
+    def states_seen(self) -> int:
+        return len(self.states)
 
 
 def solve_bounded_width_report(
@@ -405,7 +392,6 @@ def solve_bounded_width_report(
     kind: LayoutKind,
     pages: int,
     width: int,
-    collect_states: bool = False,
 ) -> CutsetReport:
     """Decide a layout of page width at most ``width`` by a lazy DFS.
 
@@ -429,26 +415,26 @@ def solve_bounded_width_report(
     first expanded state that generates it in both searches, and the
     witness is the same.
 
-    ``states_seen`` counts the states recorded (the start excluded) and
-    ``arcs_seen`` the arcs examined.  On an infeasible instance both
-    searches expand every reachable state, so both counts and the set
-    of dumped states equal the eager search's, in a different dump order.
-    On a feasible one the siblings never taken are never generated, and
-    the counts and the dump cover only what came before the goal.
+    ``states`` lists the recorded states (the ``parents`` keys after the
+    start) in record order, ``states_seen`` is their number and
+    ``arcs_seen`` counts the arcs examined.  On an infeasible instance
+    both searches expand every reachable state, so both counts and the
+    set of recorded states equal the eager search's, in a different
+    record order.  On a feasible one the siblings never taken are never
+    generated, and the counts and the recorded states cover only what
+    came before the goal.
     """
     if not g.is_connected():
         raise NotConnectedError("solve_bounded_width expects a connected graph")
     if not edge_count_bound(g, kind, pages):
-        return CutsetReport(None, True, 0, 0)
+        return CutsetReport(None, True, [], 0)
     if g.n == 0:
-        return CutsetReport(LinearLayout(kind, pages, (), {}), False, 0, 0)
+        return CutsetReport(LinearLayout(kind, pages, (), {}), False, [], 0)
 
-    start = ((), (), (), (), frozenset())
-    goal = ((), (), (), (), frozenset(g.vertices))
+    start, goal = _sentinels(g)
     parents: dict[tuple, tuple[tuple, str] | None] = {start: None}
     stack = [(start, _successors(g, kind, pages, width, start))]
-    states_seen = arcs_seen = 0
-    dumped: list[StateNode] = []
+    arcs_seen = 0
     while stack:
         state, succs = stack[-1]
         for nxt, label in succs:
@@ -459,18 +445,13 @@ def solve_bounded_width_report(
             stack.pop()
             continue
         parents[nxt] = (state, label)
-        states_seen += 1
-        if collect_states:
-            edges, srcs, snks, pagevec, _ = nxt
-            dumped.append(
-                S_FULL if nxt == goal else StateNode(OrientedCutSet(edges, srcs + snks), pagevec)
-            )
         if nxt == goal:
             break
         stack.append((nxt, _successors(g, kind, pages, width, nxt)))
 
+    recorded = list(parents)[1:]
     if goal not in parents:
-        return CutsetReport(None, False, states_seen, arcs_seen, dumped)
+        return CutsetReport(None, False, recorded, arcs_seen)
 
     # reconstruct: spine = arc labels, pages = union of node assignments
     spine_rev: list[str] = []
@@ -488,7 +469,7 @@ def solve_bounded_width_report(
     report = validate_layout(g, layout)
     assert report.ok, f"state-graph path produced an invalid layout: {report.violations!r}"
     assert page_width(layout) <= width
-    return CutsetReport(layout, False, states_seen, arcs_seen, dumped)
+    return CutsetReport(layout, False, recorded, arcs_seen)
 
 
 def solve_bounded_width(

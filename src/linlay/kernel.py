@@ -29,10 +29,6 @@ from .layouts import LayoutKind, LinearLayout, validate_layout
 from .oracle import DEFAULT_GUARD, OracleQuery, solve_exhaustive
 
 
-class GuidingError(ValueError):
-    """Too few large groups to even attempt the guided lift."""
-
-
 class LiftError(AssertionError):
     """Internal inconsistency while lifting (a bug, not infeasibility)."""
 
@@ -354,13 +350,14 @@ def find_guiding_sublayout(
 ) -> GuidingSublayout | None:
     """Search all group triples for pairwise-equal pulled-back layouts.
 
-    Requires at least five groups (two fixed reference groups plus the
-    triple).  Returns None when no triple matches, which can happen under
-    overridden desk-scale thresholds; the caller then falls back.
+    Needs at least five groups (two fixed reference groups plus the
+    triple).  Returns None with fewer, or when no triple matches, which can
+    happen under overridden desk-scale thresholds; the caller then falls
+    back.
     """
     k = cert.group_count
     if k < 5:
-        raise GuidingError(f"need at least 5 large groups, certificate has {k}")
+        return None
     core = set(cert.separator) | set(cert.s_prime)
     spine_pos = {v: i for i, v in enumerate(kernel_layout.spine)}
     maps = cert.group_maps

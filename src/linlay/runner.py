@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from .bounds import edge_count_bound
-from .cutset import CutsetReport, solve_bounded_width_report
+from .cutset import CutsetReport, solve_bounded_width_report, state_line
 from .fileformats import layout_to_dict
 from .graphs import Graph
 from .kernel import (
@@ -134,16 +134,11 @@ def _solve_cutset(req: SolveRequest) -> _Solved:
     dump_lines: list[str] = []
 
     def solve(sub: Graph) -> CutsetReport:
-        rep = solve_bounded_width_report(
-            sub, req.kind, req.pages, width, collect_states=req.dump_states is not None
-        )
+        rep = solve_bounded_width_report(sub, req.kind, req.pages, width)
         counters["states"] += rep.states_seen
         counters["arcs"] += rep.arcs_seen
-        for s in rep.dumped_states:
-            edge_txt = ",".join(f"{u}-{w}" for u, w in s.cut.edges) or "-"
-            order_txt = "<".join(s.cut.order) or "-"
-            pages_txt = ",".join(map(str, s.page_of)) or "-"
-            dump_lines.append(f"{edge_txt} | {order_txt} | {pages_txt}")
+        if req.dump_states is not None:
+            dump_lines.extend(map(state_line, rep.states))
         return rep
 
     layout, failed = _solve_components(req, solve)
@@ -211,9 +206,7 @@ def _solve_kernel(req: SolveRequest) -> _Solved:
         kernel_layout = inner(cert.graph, req.kind, req.pages)
         if kernel_layout is None:  # an induced subgraph with no layout settles g
             return None, counters, f"no layout of the reduced graph on {cert.graph.n} vertices"
-        guide = None
-        if cert.group_count >= 5:
-            guide = find_guiding_sublayout(kernel_layout, cert)
+        guide = find_guiding_sublayout(kernel_layout, cert)
         counters["lifted"] = int(guide is not None)
         if guide is not None:
             return lift_layout(guide, cert, g), counters, ""

@@ -26,7 +26,7 @@ import itertools
 import math
 import random
 
-from linlay.cutset import S_FULL, OrientedCutSet, StateNode, _successors, left_side
+from linlay.cutset import OrientedCutSet, _successors, left_side
 from linlay.graphs import Edge, Graph, edge
 from linlay.kernel import ViDecomposition
 from linlay.layouts import LayoutKind, LinearLayout, _page_has_conflict
@@ -123,17 +123,16 @@ def eager_bounded_width(g, kind, pages, width):
 
     Pops a state, generates all its successors, records the new ones and
     pushes them in reverse, so the first successor is expanded first.
-    Returns ``(layout, states, arcs, dumped)``: the witness (spine and pages
-    read off the parent links) or None, the states recorded, the arcs
-    generated, and the recorded states as ``StateNode``s in record order.
-    ``g`` must be connected and pass the edge-count bound.
+    Returns ``(layout, states, arcs, recorded)``: the witness (spine and
+    pages read off the parent links) or None, the states recorded, the arcs
+    generated, and the recorded states in record order.  ``g`` must be
+    connected and pass the edge-count bound.
     """
-    start = ((), (), (), (), frozenset())
-    goal = ((), (), (), (), frozenset(g.vertices))
+    start, goal = start_state(), goal_state(g)
     parents = {start: None}
     stack = [start]
     states = arcs = 0
-    dumped = []
+    recorded = []
     while stack and goal not in parents:
         state = stack.pop()
         succs = list(_successors(g, kind, pages, width, state))
@@ -143,15 +142,12 @@ def eager_bounded_width(g, kind, pages, width):
                 continue
             parents[nxt] = (state, label)
             states += 1
-            edges, srcs, snks, pagevec, _ = nxt
-            dumped.append(
-                S_FULL if nxt == goal else StateNode(OrientedCutSet(edges, srcs + snks), pagevec)
-            )
+            recorded.append(nxt)
             if nxt == goal:
                 break
             stack.append(nxt)
     if goal not in parents:
-        return None, states, arcs, dumped
+        return None, states, arcs, recorded
     spine, page_map = [], {}
     state = goal
     while parents[state] is not None:
@@ -159,7 +155,7 @@ def eager_bounded_width(g, kind, pages, width):
         spine.append(label)
         page_map.update(zip(state[0], state[3]))
         state = prev
-    return LinearLayout(kind, pages, tuple(reversed(spine)), page_map), states, arcs, dumped
+    return LinearLayout(kind, pages, tuple(reversed(spine)), page_map), states, arcs, recorded
 
 
 class ReferenceSearch:
@@ -437,10 +433,30 @@ def reference_labeling_search(g: Graph, leaves: list | None = None) -> BranchRes
     return BranchResult(None, None, None, tried)
 
 
-def state_left_side(g: Graph, state: StateNode) -> frozenset[str]:
-    if state.is_sentinel:
-        return frozenset(g.vertices) if state.processed_all else frozenset()
-    return left_side(g, state.cut)
+def start_state() -> tuple:
+    return ((), (), (), (), frozenset())
+
+
+def goal_state(g: Graph) -> tuple:
+    return ((), (), (), (), frozenset(g.vertices))
+
+
+def state_of(g: Graph, cut: OrientedCutSet, page_of) -> tuple:
+    """The search's state tuple for a nonempty oriented cut and its pages."""
+    sources, sinks = cut.sources_and_sinks()
+    return (cut.edges, sources, sinks, tuple(page_of), left_side(g, cut))
+
+
+def state_cut(state: tuple) -> OrientedCutSet:
+    return OrientedCutSet(state[0], state[1] + state[2])
+
+
+def state_left_side(g: Graph, state: tuple) -> frozenset[str]:
+    """The processed side, recomputed from the cut; only an empty-cut
+    sentinel is told apart by its tuple."""
+    if not state[0]:
+        return frozenset(g.vertices) if state[4] else frozenset()
+    return left_side(g, state_cut(state))
 
 
 def _mini_layout_valid(
@@ -472,8 +488,8 @@ def _mini_layout_valid(
 
 def arc_exists(
     g: Graph,
-    sx: StateNode,
-    sy: StateNode,
+    sx: tuple,
+    sy: tuple,
     pages: int,
     width: int,
     kind: LayoutKind,
@@ -482,49 +498,46 @@ def arc_exists(
     proc_x = state_left_side(g, sx)
     proc_y = state_left_side(g, sy)
     unproc_x = [v for v in g.vertices if v not in proc_x]
-    fx = set(sx.cut.edges)
+    cut_x, cut_y = state_cut(sx), state_cut(sy)
+    fx = set(cut_x.edges)
     for v in unproc_x:
         fy_expected = {e for e in fx if v not in e} | {
             edge(v, w) for w in g.neighbors(v) if w not in proc_x and w != v
         }
-        if fy_expected != set(sy.cut.edges):
+        if fy_expected != set(cut_y.edges):
             continue
         if proc_y != proc_x | {v}:
             continue
         # order and page agreement on the shared edges
         shared = fx & fy_expected
         shared_eps = sorted({u for e in shared for u in e})
-        pos_x = {u: i for i, u in enumerate(sx.cut.order)}
-        pos_y = {u: i for i, u in enumerate(sy.cut.order)}
+        pos_x = {u: i for i, u in enumerate(cut_x.order)}
+        pos_y = {u: i for i, u in enumerate(cut_y.order)}
         ok = all(
             (pos_x[a] < pos_x[b]) == (pos_y[a] < pos_y[b])
             for a, b in itertools.combinations(shared_eps, 2)
         )
         if not ok:
             continue
-        px = dict(zip(sx.cut.edges, sx.page_of))
-        py = dict(zip(sy.cut.edges, sy.page_of))
+        px = dict(zip(cut_x.edges, sx[3]))
+        py = dict(zip(cut_y.edges, sy[3]))
         if any(px[e] != py[e] for e in shared):
             continue
         # moved vertex sits at the boundary of both orders
         if v in {u for e in fx for u in e}:
-            _, sinks_x = sx.cut.sources_and_sinks()
+            _, sinks_x = cut_x.sources_and_sinks()
             if not sinks_x or sinks_x[0] != v:
                 continue
         if v in {u for e in fy_expected for u in e}:
-            sources_y, _ = sy.cut.sources_and_sinks()
+            sources_y, _ = cut_y.sources_and_sinks()
             if not sources_y or sources_y[-1] != v:
                 continue
         # both boundary layouts must be valid for the kind at this width
-        def mini_ok(state: StateNode) -> bool:
-            if state.is_sentinel:
-                return True
-            pos = {u: i for i, u in enumerate(state.cut.order)}
-            return _mini_layout_valid(
-                kind, pos, list(zip(state.cut.edges, state.page_of)), width
-            )
+        def mini_ok(cut: OrientedCutSet, page_of: tuple[int, ...]) -> bool:
+            pos = {u: i for i, u in enumerate(cut.order)}
+            return _mini_layout_valid(kind, pos, list(zip(cut.edges, page_of)), width)
 
-        if not (mini_ok(sx) and mini_ok(sy)):
+        if not (mini_ok(cut_x, sx[3]) and mini_ok(cut_y, sy[3])):
             continue
         return v
     return None

@@ -11,9 +11,6 @@ from linlay.cutset import (
     CutSetError,
     NotConnectedError,
     OrientedCutSet,
-    S_EMPTY,
-    S_FULL,
-    StateNode,
     cut_bipartition,
     enumerate_states,
     induce_order,
@@ -33,10 +30,14 @@ from naive import (
     arc_exists,
     cycle_of,
     eager_bounded_width,
+    goal_state,
     path_of,
     random_connected_graph,
     star_of,
+    start_state,
+    state_cut,
     state_left_side,
+    state_of,
 )
 
 
@@ -126,37 +127,37 @@ def test_left_side_invariant_under_shuffling(wide_stack):
 
 
 def test_state_left_side_sentinels(path3):
-    assert state_left_side(path3, S_EMPTY) == frozenset()
-    assert state_left_side(path3, S_FULL) == frozenset(path3.vertices)
+    assert state_left_side(path3, start_state()) == frozenset()
+    assert state_left_side(path3, goal_state(path3)) == frozenset(path3.vertices)
 
 
 def test_enumerate_states_single_edge():
     g = Graph.from_edges([("a", "b")])
     states = list(enumerate_states(g, 1, 1, LayoutKind.STACK))
-    keys = {s.key() for s in states}
-    assert len(keys) == len(states) == 4
-    assert S_EMPTY in states and S_FULL in states
+    assert len(set(states)) == len(states) == 4
+    assert start_state() in states and goal_state(g) in states
     expected = {
-        StateNode(oriented([("a", "b")], ("a", "b")), (1,)).key(),
-        StateNode(oriented([("a", "b")], ("b", "a")), (1,)).key(),
+        state_of(g, oriented([("a", "b")], ("a", "b")), (1,)),
+        state_of(g, oriented([("a", "b")], ("b", "a")), (1,)),
     }
-    assert expected <= keys
+    assert expected <= set(states)
 
 
 def test_enumerate_states_zero_width_only_sentinels(path3):
-    assert list(enumerate_states(path3, 1, 0, LayoutKind.STACK)) == [S_EMPTY, S_FULL]
+    sentinels = [start_state(), goal_state(path3)]
+    assert list(enumerate_states(path3, 1, 0, LayoutKind.STACK)) == sentinels
 
 
 def test_enumerate_states_triangle_counts():
     tri = cycle_of("a", "b", "c")
-    states = [s for s in enumerate_states(tri, 1, 1, LayoutKind.QUEUE) if not s.is_sentinel]
+    states = [s for s in enumerate_states(tri, 1, 1, LayoutKind.QUEUE) if s[0]]
     # width 1 on one page forbids two-edge cut-sets; each single edge of the
     # triangle leaves the graph connected, so no cut-set exists at all
     assert states == []
-    states2 = [s for s in enumerate_states(tri, 1, 2, LayoutKind.QUEUE) if not s.is_sentinel]
+    states2 = [s for s in enumerate_states(tri, 1, 2, LayoutKind.QUEUE) if s[0]]
     # each pair of edges is a cut-set: 3 pairs x 2 orientations x orders
-    assert all(len(s.cut.edges) == 2 for s in states2)
-    assert len({s.key() for s in states2}) == len(states2)
+    assert all(len(s[0]) == 2 for s in states2)
+    assert len(set(states2)) == len(states2)
 
 
 def test_solve_path_width_one():
@@ -233,15 +234,13 @@ def test_lazy_search_matches_the_eager_reference():
                 if not edge_count_bound(g, kind, pages):
                     continue
                 for width in (1, 2, 3):
-                    rep = solve_bounded_width_report(g, kind, pages, width, collect_states=True)
-                    layout, states, arcs, dumped = eager_bounded_width(g, kind, pages, width)
+                    rep = solve_bounded_width_report(g, kind, pages, width)
+                    layout, states, arcs, recorded = eager_bounded_width(g, kind, pages, width)
                     case = (g.edges, kind.value, pages, width)
                     if layout is None:
                         assert rep.layout is None, case
                         assert (rep.states_seen, rep.arcs_seen) == (states, arcs), case
-                        recorded = {s.key() for s in rep.dumped_states}
-                        reference = {s.key() for s in dumped}
-                        assert recorded == reference, case
+                        assert set(rep.states) == set(recorded), case
                     else:
                         assert rep.layout is not None, case
                         assert rep.layout.spine == layout.spine, case
@@ -267,12 +266,8 @@ def test_arc_between_consecutive_layout_cuts(wide_stack):
         fv = sorted(spanning_edges(layout, v))
         if not fu or not fv:
             continue
-        su = StateNode(
-            OrientedCutSet.from_order(fu, spine), tuple(layout.pages[e] for e in fu)
-        )
-        sv = StateNode(
-            OrientedCutSet.from_order(fv, spine), tuple(layout.pages[e] for e in fv)
-        )
+        su = state_of(g, OrientedCutSet.from_order(fu, spine), [layout.pages[e] for e in fu])
+        sv = state_of(g, OrientedCutSet.from_order(fv, spine), [layout.pages[e] for e in fv])
         assert arc_exists(g, su, sv, 2, 5, LayoutKind.STACK) == v
         # no state has an arc to itself
         assert arc_exists(g, su, su, 2, 5, LayoutKind.STACK) is None
@@ -284,9 +279,9 @@ def test_arc_rejects_page_disagreement(wide_stack):
     u, v = spine[2], spine[3]
     fu = sorted(spanning_edges(layout, u))
     fv = sorted(spanning_edges(layout, v))
-    su = StateNode(OrientedCutSet.from_order(fu, spine), tuple(layout.pages[e] for e in fu))
-    flipped = tuple(3 - layout.pages[e] for e in fv)
-    sv_bad = StateNode(OrientedCutSet.from_order(fv, spine), flipped)
+    su = state_of(g, OrientedCutSet.from_order(fu, spine), [layout.pages[e] for e in fu])
+    flipped = [3 - layout.pages[e] for e in fv]
+    sv_bad = state_of(g, OrientedCutSet.from_order(fv, spine), flipped)
     assert arc_exists(g, su, sv_bad, 2, 5, LayoutKind.STACK) is None
 
 
@@ -332,31 +327,30 @@ def test_every_layout_cut_is_nicely_oriented_lemma_style():
 
 def test_state_graph_is_acyclic_processed_grows():
     g = cycle_of("a", "b", "c", "d")
-    report = solve_bounded_width_report(g, LayoutKind.STACK, 1, 2, collect_states=True)
+    report = solve_bounded_width_report(g, LayoutKind.STACK, 1, 2)
     assert report.layout is not None
-    for s in report.dumped_states:
-        if not s.is_sentinel:
+    for s in report.states:
+        if s[0]:
             assert 1 <= len(state_left_side(g, s)) <= g.n
 
 
 def test_dfs_successors_are_real_arcs():
     g = path_of("a", "b", "c", "d")
-    report = solve_bounded_width_report(g, LayoutKind.QUEUE, 1, 2, collect_states=True)
+    report = solve_bounded_width_report(g, LayoutKind.QUEUE, 1, 2)
     assert report.layout is not None
     # cross-check the on-demand generator against the literal arc test for
     # the states along the witness path
     spine = report.layout.spine
-    prev = S_EMPTY
+    prev = start_state()
     prev_left = 0
     for i, v in enumerate(spine):
         f = sorted(spanning_edges(report.layout, v)) if i < len(spine) - 1 else []
         if f:
-            node = StateNode(
-                OrientedCutSet.from_order(f, spine),
-                tuple(report.layout.pages[e] for e in f),
+            node = state_of(
+                g, OrientedCutSet.from_order(f, spine), [report.layout.pages[e] for e in f]
             )
         else:
-            node = S_FULL if i == len(spine) - 1 else None
+            node = goal_state(g) if i == len(spine) - 1 else None
         if node is not None:
             assert arc_exists(g, prev, node, 1, 2, LayoutKind.QUEUE) == v
             # the processed side grows by exactly one vertex per arc
@@ -415,11 +409,12 @@ def test_verdicts_match_oracle_sampled_larger():
 def _mini_layout_is_valid(g, s, kind, pages, width):
     from linlay.layouts import LinearLayout, page_width as pw
 
-    if s.is_sentinel:
+    if not s[0]:
         return True
     # the graph (V(F), F) spanned by the cut's edges
-    sub = Graph.build({v for e in s.cut.edges for v in e}, s.cut.edges)
-    lay = LinearLayout(kind, pages, s.cut.order, dict(zip(s.cut.edges, s.page_of)))
+    cut = state_cut(s)
+    sub = Graph.build({v for e in cut.edges for v in e}, cut.edges)
+    lay = LinearLayout(kind, pages, cut.order, dict(zip(cut.edges, s[3])))
     return validate_layout(sub, lay).ok and pw(lay) <= width
 
 
@@ -443,30 +438,21 @@ def test_successors_agree_with_literal_arc_conditions():
             if _mini_layout_is_valid(g, s, kind, pages, width)
         ]
         for sx in states:
-            if sx.processed_all:
+            if sx == goal_state(g):
                 continue
-            processed = state_left_side(g, sx)
-            if not sx.is_sentinel and len(processed) == g.n:
-                continue
-            srcs, snks = ((), ()) if sx.is_sentinel else sx.cut.sources_and_sinks()
-            got = {}
-            state = (sx.cut.edges, srcs, snks, sx.page_of, processed)
-            for (edges, fs, ks, pv, _), label in _successors(g, kind, pages, width, state):
-                if edges:
-                    node = StateNode(OrientedCutSet(edges, fs + ks), pv)
-                else:
-                    node = S_FULL
-                got[node.key()] = label
+            # whole tuples are compared, so a wrong ``processed`` from the
+            # enumeration shows up here
+            got = dict(_successors(g, kind, pages, width, sx))
             expected = {}
             for sy in states:
                 label = arc_exists(g, sx, sy, pages, width, kind)
                 if label is not None:
-                    expected[sy.key()] = label
-            if sx.is_sentinel:
+                    expected[sy] = label
+            if sx == start_state():
                 # out of the empty state only first-use ordered page vectors
                 expected = {
-                    k: label for k, label in expected.items()
-                    if all(p <= max(k[2][:i], default=0) + 1 for i, p in enumerate(k[2]))
+                    s: label for s, label in expected.items()
+                    if all(p <= max(s[3][:i], default=0) + 1 for i, p in enumerate(s[3]))
                 }
             assert got == expected, (g.edges, kind.value, pages, width, sx)
 
@@ -500,8 +486,8 @@ def test_enumerate_states_matches_definition_bruteforce():
                         for p in pv:
                             counts[p] = counts.get(p, 0) + 1
                         if max(counts.values()) <= width:
-                            expected.add(StateNode(cut, pv).key())
-        expected.add(S_EMPTY.key())
-        expected.add(S_FULL.key())
-        got = {s.key() for s in enumerate_states(g, pages, width, kind)}
+                            expected.add(state_of(g, cut, pv))
+        expected.add(start_state())
+        expected.add(goal_state(g))
+        got = set(enumerate_states(g, pages, width, kind))
         assert got == expected, (g.edges, kind.value, pages, width)

@@ -451,6 +451,27 @@ def test_cli_dump_states(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_dump_states_two_components(tmp_path, capsys):
+    """Each component's recorded states follow the previous component's,
+    each block ending in its own goal line."""
+    g = Graph.from_edges(
+        list(cycle_of("a", "b", "c", "d").edges) + list(cycle_of("x", "y", "z").edges)
+    )
+    path = write_graph(tmp_path, g)
+    dump = tmp_path / "states.txt"
+    assert main(
+        ["solve", path, "--algo", "cutset", "--kind", "stack", "--pages", "1",
+         "--width", "2", "--dump-states", str(dump), "--out", str(tmp_path / "layout.json")]
+    ) == 0
+    report = json.loads(capsys.readouterr().out)
+    lines = dump.read_text().splitlines()
+    assert len(lines) == report["counters"]["states"] == 7
+    goals = [i for i, line in enumerate(lines) if line == "- | - | -"]
+    assert goals == [3, 6]
+    assert all(set(line) & set("abcd") and not set(line) & set("xyz") for line in lines[:3])
+    assert all(set(line) & set("xyz") and not set(line) & set("abcd") for line in lines[4:6])
+
+
 @pytest.mark.parametrize("kind", ["stack", "queue"])
 def test_cli_dump_states_golden(tmp_path, capsys, kind):
     """The dump lists recorded states in visit order.  c6 is feasible, so
