@@ -33,7 +33,7 @@ def _pair_index(n: int) -> dict[tuple[int, int], int]:
     return idx
 
 
-def _apply_perm(n: int, mask: int, perm: tuple[int, ...], pidx: dict) -> int:
+def _apply_perm(mask: int, perm: tuple[int, ...], pidx: dict) -> int:
     out = 0
     for (i, j), k in pidx.items():
         if mask >> k & 1:
@@ -79,7 +79,7 @@ def canonical_certificate(n: int, mask: int) -> int:
         for cls_perm, off in zip(parts, offsets):
             for slot, v in enumerate(cls_perm):
                 perm[v] = off + slot
-        cand = _apply_perm(n, mask, tuple(perm), pidx)
+        cand = _apply_perm(mask, tuple(perm), pidx)
         if best is None or cand < best:
             best = cand
     assert best is not None

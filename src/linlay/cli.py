@@ -12,7 +12,6 @@ import csv
 import io
 import json
 import sys
-import time
 
 from .fileformats import (
     FormatError,
@@ -90,6 +89,32 @@ def _add_common_solver_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--width", type=_at_least(0), default=None)
 
 
+def _add_request_args(p: argparse.ArgumentParser) -> None:
+    """The options of a ``SolveRequest`` that ``solve`` and ``bench`` share."""
+    p.add_argument("--algo", choices=ALGORITHMS, required=True)
+    _add_common_solver_args(p)
+    p.add_argument("--threshold", type=_at_least(0), default=None,
+                   help="kernel largeness override")
+    p.add_argument("--guard", type=_at_least(0), default=DEFAULT_GUARD,
+                   help="oracle size guard")
+    p.add_argument("--edge-guard", type=_at_least(0), default=DEFAULT_EDGE_GUARD,
+                   help="queue1 labeling guard")
+
+
+def _request(args, g, **extra) -> SolveRequest:
+    return SolveRequest(
+        graph=g,
+        algorithm=args.algo,
+        kind=LayoutKind(args.kind),
+        pages=args.pages,
+        width=args.width,
+        threshold=args.threshold,
+        oracle_guard=args.guard,
+        edge_guard=args.edge_guard,
+        **extra,
+    )
+
+
 def cmd_validate(args) -> int:
     g = parse_graph(_read(args.graph))
     layout = layout_from_json(_read(args.layout))
@@ -121,20 +146,8 @@ def cmd_oracle(args) -> int:
 
 def cmd_solve(args) -> int:
     g = parse_graph(_read(args.graph))
-    req = SolveRequest(
-        graph=g,
-        algorithm=args.algo,
-        kind=LayoutKind(args.kind),
-        pages=args.pages,
-        width=args.width,
-        inner=args.inner,
-        threshold=args.threshold,
-        oracle_guard=args.guard,
-        edge_guard=args.edge_guard,
-        dump_states=args.dump_states,
-        dump_branch=args.dump_branch,
-    )
-    report = run(req)
+    report = run(_request(args, g, inner=args.inner, dump_states=args.dump_states,
+                          dump_branch=args.dump_branch))
     print(json.dumps(report_to_dict(report), indent=2, sort_keys=True))
     if report.layout is not None and args.out:
         _write(args.out, layout_to_json(report.layout))
@@ -155,7 +168,7 @@ def cmd_vi(args) -> int:
 def cmd_kernelize(args) -> int:
     g = parse_graph(_read(args.graph))
     dec = compute_vertex_integrity(g)
-    cert = build_reduced_graph(g, dec, args.pages, args.threshold)
+    cert = build_reduced_graph(g, dec, args.threshold)
     if args.out_graph:
         _write(args.out_graph, serialize_graph(cert.graph))
     payload = {
@@ -203,19 +216,7 @@ def cmd_bench(args) -> int:
     rows = []
     for path in args.graphs:
         g = parse_graph(_read(path))
-        req = SolveRequest(
-            graph=g,
-            algorithm=args.algo,
-            kind=LayoutKind(args.kind),
-            pages=args.pages,
-            width=args.width,
-            threshold=args.threshold,
-            oracle_guard=args.guard,
-            edge_guard=args.edge_guard,
-        )
-        t0 = time.perf_counter()
-        report = run(req)
-        millis = (time.perf_counter() - t0) * 1000
+        report = run(_request(args, g))
         rows.append(
             {
                 "instance": path,
@@ -224,7 +225,7 @@ def cmd_bench(args) -> int:
                 "algo": args.algo,
                 "params": f"kind={args.kind};pages={args.pages};width={args.width}",
                 "verdict": report.verdict,
-                "millis": f"{millis:.2f}",
+                "millis": f"{report.timings_ms['solve']:.2f}",
                 "state_count": report.counters.get(
                     "states", report.counters.get("branches", 0)
                 ),
@@ -266,17 +267,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="run one of the solvers")
     p.add_argument("graph")
-    p.add_argument("--algo", choices=ALGORITHMS, required=True)
-    _add_common_solver_args(p)
+    _add_request_args(p)
     p.add_argument("--out", type=_file_path, default=None,
                    help="write the witness layout JSON here")
     p.add_argument("--inner", choices=["oracle", "cutset"], default="oracle")
-    p.add_argument("--threshold", type=_at_least(0), default=None,
-                   help="kernel largeness override")
-    p.add_argument("--guard", type=_at_least(0), default=DEFAULT_GUARD,
-                   help="oracle size guard")
-    p.add_argument("--edge-guard", type=_at_least(0), default=DEFAULT_EDGE_GUARD,
-                   help="queue1 labeling guard")
     p.add_argument("--dump-states", type=_file_path, default=None)
     p.add_argument("--dump-branch", type=_file_path, default=None)
     p.set_defaults(fn=cmd_solve)
@@ -288,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("kernelize", help="emit the reduced graph and certificate")
     p.add_argument("graph")
-    p.add_argument("--pages", type=_at_least(1), required=True)
     p.add_argument("--threshold", type=_at_least(0), default=None)
     p.add_argument("--out-graph", default=None)
     p.add_argument("--out-cert", default="-")
@@ -308,11 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="CSV timing rows for instances")
     p.add_argument("graphs", nargs="+")
-    p.add_argument("--algo", choices=ALGORITHMS, required=True)
-    _add_common_solver_args(p)
-    p.add_argument("--threshold", type=_at_least(0), default=None)
-    p.add_argument("--guard", type=_at_least(0), default=DEFAULT_GUARD)
-    p.add_argument("--edge-guard", type=_at_least(0), default=DEFAULT_EDGE_GUARD)
+    _add_request_args(p)
     p.add_argument("--out", default="-")
     p.set_defaults(fn=cmd_bench)
 

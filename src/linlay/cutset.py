@@ -252,7 +252,10 @@ def _successors(
         if v in endpoint and v != leftmost_sink:
             continue  # the moved vertex must be the leftmost sink
         retained = [e for e in cut_edges if v not in e]
-        new_edges = sorted(edge(v, w) for w in g.neighbors(v) if w not in processed and w != v)
+        # each new edge's sink is its other end; the sorted neighbours give
+        # the new edges in canonical order
+        new_sink = [w for w in g.neighbors(v) if w not in processed]
+        new_edges = [edge(v, w) for w in new_sink]
         k = len(new_edges)
         if not retained and not new_edges:
             if len(unprocessed) == 1:
@@ -265,11 +268,10 @@ def _successors(
         srcs_y = tuple(s for s in sources if s in retained_eps) + ((v,) if new_edges else ())
         fixed_snks = [t for t in sinks if t != v]
         known = set(fixed_snks)
-        new_snks = sorted({w for e in new_edges for w in e if w != v and w not in known})
+        new_snks = [w for w in new_sink if w not in known]
         fy_edges = tuple(sorted(retained + new_edges))
         retained_pages = [pages_by_edge[e] for e in retained]
         retained_sink = [e[0] if e[0] in snk_set else e[1] for e in retained]
-        new_sink = [e[0] if e[1] == v else e[1] for e in new_edges]
         # each edge's retained page, 0 where a new edge takes the next combo entry
         slots = [pages_by_edge.get(e, 0) for e in fy_edges]
         base_counts: dict[int, int] = {}
@@ -337,9 +339,7 @@ def _sentinels(g: Graph) -> tuple[tuple, tuple]:
     return ((), (), (), (), frozenset()), ((), (), (), (), frozenset(g.vertices))
 
 
-def enumerate_states(
-    g: Graph, pages: int, width: int, kind: LayoutKind
-) -> Iterator[tuple]:
+def enumerate_states(g: Graph, pages: int, width: int) -> Iterator[tuple]:
     """All consistent states: sentinels plus every nicely oriented cut-set of
     size up to width*pages with a page assignment of at most ``width`` edges
     per page.  Orders enumerate both side orientations and all source/sink

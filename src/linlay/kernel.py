@@ -249,19 +249,17 @@ class ReducedGraphCertificate:
 
 
 def build_reduced_graph(
-    g: Graph,
-    dec: ViDecomposition,
-    pages: int,
-    threshold: int | None = None,
+    g: Graph, dec: ViDecomposition, threshold: int | None = None
 ) -> ReducedGraphCertificate:
     """Fold small twin classes into the core, keep ``threshold`` groups of the rest.
 
     A class is large when it has at least ``threshold`` members; every
     other class folds into the core, and ``threshold`` members of each large
     class are kept.  ``None`` stands for the paper's threshold
-    2^(2^(pages * x^2 * 2^(12 p^2))) at core size x and p = ``dec.p``, the
-    only place ``pages`` enters; no class of a materializable graph reaches
-    it, so every class folds and the kernel is the whole graph.
+    2^(2^(pages * x^2 * 2^(12 p^2))) at core size x and p = ``dec.p``,
+    which is never evaluated: no class of a materializable graph reaches
+    it, whatever the page count, so every class folds and the kernel is
+    the whole graph.
     """
     classes = twin_partition(g, dec)
     large = tuple(
@@ -303,20 +301,13 @@ class GuidingSublayout:
     copy.  ``template`` is the common order over representative vertices
     plus the kept core; ``blocks`` partitions the representative vertices
     into runs, each expanded ascending or descending on lifting.
-    ``base_layout`` is the kernel layout restricted to core + the three
-    groups.
+    ``kernel_layout`` is the layout the guide was read from.
     """
 
     y: int
     template: tuple[str, ...]
     blocks: tuple[tuple[tuple[str, ...], str], ...]  # (run of reps, "asc"/"desc")
-    base_layout: LinearLayout
-
-
-def _restricted_layout(layout: LinearLayout, keep: set[str]) -> LinearLayout:
-    spine = tuple(v for v in layout.spine if v in keep)
-    pages = {e: p for e, p in layout.pages.items() if e[0] in keep and e[1] in keep}
-    return LinearLayout(layout.kind, layout.page_count, spine, pages)
+    kernel_layout: LinearLayout
 
 
 def _info_key(
@@ -444,8 +435,7 @@ def find_guiding_sublayout(
         blocks.append((reps, direction))
         i = j + len(expect)
 
-    base = _restricted_layout(kernel_layout, upsilon)
-    return GuidingSublayout(y, template, tuple(blocks), base)
+    return GuidingSublayout(y, template, tuple(blocks), kernel_layout)
 
 
 # -- lifting -------------------------------------------------------------------
@@ -491,7 +481,7 @@ def lift_layout(
         y = y_from[r]
         for v in vs:
             to_y[v] = y
-    base_pages = guide.base_layout.pages
+    base_pages = guide.kernel_layout.pages
     page_map: dict[Edge, int] = {}
     for u, w in g_full.edges:
         a, b = to_y.get(u), to_y.get(w)
@@ -500,7 +490,7 @@ def lift_layout(
         page_map[(u, w)] = base_pages[(a, b) if a < b else (b, a)]
 
     layout = LinearLayout(
-        guide.base_layout.kind, guide.base_layout.page_count, tuple(spine), page_map
+        guide.kernel_layout.kind, guide.kernel_layout.page_count, tuple(spine), page_map
     )
     report = validate_layout(g_full, layout)
     if not report.ok:

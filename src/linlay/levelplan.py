@@ -2,34 +2,32 @@
 
 Input graphs have every vertex on an integer level and every edge between
 consecutive levels.  The tester searches per-level left-to-right orders
-bottom-up: given the order of level i, the admissible orders of level i+1
-are forced up to permuting vertices whose neighborhoods below coincide in a
-single position and inserting vertices with no neighbor below.  Without
-precedence pairs, components are handled independently and drawn side by
-side.
+bottom-up over the whole instance: given the order of level i, the
+admissible orders of level i+1 are forced up to permuting vertices whose
+neighborhoods below coincide in a single position and inserting vertices
+with no neighbor below.  Same-level precedence pairs filter each level's
+candidates.
 
-Before that search starts, the tester decides the ordering-parity system
-of the instance (Randerath et al. 2001, "A satisfiability formulation of
-problems on level graphs"; Brückner, Rutter and Stumpf 2018, "Level
-planarity: transitivity vs. even crossings").  Each same-level pair
-{u, v} has one boolean "u is left of v"; two edges between the same two
-levels with distinct lower ends a, c and distinct upper ends b, d cannot
-cross iff x(a, c) = x(b, d); each precedence pair the caller asks for
-sets one variable.  ``OffsetUnionFind`` with offsets read mod 2 decides
-the system, each equation in time logarithmic in its size, and a
-contradiction rejects the instance before any order is enumerated.  The
-same class over the integers gives ``queue_one`` the levels of a
+The module also holds the ordering-parity system (Randerath et al. 2001,
+"A satisfiability formulation of problems on level graphs"; Brückner,
+Rutter and Stumpf 2018, "Level planarity: transitivity vs. even
+crossings").  Each same-level pair {u, v} has one boolean "u is left of
+v"; two edges between the same two levels with distinct lower ends a, c
+and distinct upper ends b, d cannot cross iff x(a, c) = x(b, d); each
+precedence pair sets one variable.  ``OffsetUnionFind`` with offsets read
+mod 2 decides the system, each equation in time logarithmic in its size.
+The same class over the integers gives ``queue_one`` the levels of a
 labeling.  Without precedence pairs the system is satisfiable exactly
 when the instance is level planar (both papers); with them it is only a
 necessary condition, so the search still decides.
 ``parity_consistent`` takes a level map, edges and pairs rather than an
 instance, and any vertex type with a total order, so the queue1 solver
-decides each branch's system with the same code, on vertex indices,
-before it builds the branch's instance.
+decides each branch's system on vertex indices, before it builds the
+branch's instance, and rejects nearly every branch there.
 
 Correctness is the contract here, not the linear running time of the
 published level-planarity algorithms; instances in this package arrive
-small and pre-filtered.  The returned embedding is certified by an
+small and pre-filtered.  The returned drawing is certified by an
 explicit crossing check before being handed back.
 """
 
@@ -83,14 +81,9 @@ class LeveledGraph:
                 raise ImproperEdgeError(f"edge {u!r}-{v!r} is not proper")
 
 
-@dataclass(frozen=True)
-class LevelEmbedding:
-    orders: dict[int, tuple[str, ...]]
-
-
-def _crossing_free(lg: LeveledGraph, orders: dict[int, tuple[str, ...]]) -> bool:
+def _crossing_free(lg: LeveledGraph, rows: dict[int, tuple[str, ...]]) -> bool:
     pos = {}
-    for vs in orders.values():
+    for vs in rows.values():
         for i, v in enumerate(vs):
             pos[v] = i
     lv = lg.levels.levels
@@ -107,7 +100,7 @@ def _crossing_free(lg: LeveledGraph, orders: dict[int, tuple[str, ...]]) -> bool
 
 
 def _candidate_orders(
-    vertices: tuple[str, ...],
+    vertices: list[str],
     below_neighbors: dict[str, list[str]],
     below_pos: dict[str, int],
 ) -> Iterator[tuple[str, ...]]:
@@ -133,16 +126,11 @@ def _candidate_orders(
                 return  # two spread-out vertices over the same interval must cross
         elif hi1 > lo2:
             return  # overlapping intervals force a crossing
-    # group consecutive point-ties; they may permute freely
-    groups: list[list[str]] = []
-    for lo, hi, v in attached:
-        if groups and groups[-1] and (lo, hi) == groups[-1][0][:2]:
-            groups[-1].append((lo, hi, v))
-        else:
-            groups.append([(lo, hi, v)])
-    group_lists = [[t[2] for t in grp] for grp in groups]
-
-    for perms in itertools.product(*(itertools.permutations(g) for g in group_lists)):
+    # consecutive point-ties may permute freely
+    groups = [
+        [v for _, _, v in grp] for _, grp in itertools.groupby(attached, lambda t: t[:2])
+    ]
+    for perms in itertools.product(*map(itertools.permutations, groups)):
         base = [v for grp in perms for v in grp]
         yield from _insert_everywhere(base, free)
 
@@ -254,21 +242,21 @@ def _honours(row: tuple[str, ...], pairs: list[Precedence]) -> bool:
     return all(pos[p] < pos[q] for p, q in pairs)
 
 
-def _solve_component(
-    lg: LeveledGraph,
-    comp: tuple[str, ...],
-    before_by_level: dict[int, list[Precedence]],
+def _search(
+    lg: LeveledGraph, before_by_level: dict[int, list[Precedence]]
 ) -> dict[int, tuple[str, ...]] | None:
     lv = lg.levels.levels
-    levels = sorted({lv[v] for v in comp})
-    by_level = {i: tuple(sorted(v for v in comp if lv[v] == i)) for i in levels}
-    below: dict[str, list[str]] = {v: [] for v in comp}
-    for u, v in lg.graph.edges:
-        if u in below and v in below:
-            if lv[u] + 1 == lv[v]:
-                below[v].append(u)
-            elif lv[v] + 1 == lv[u]:
-                below[u].append(v)
+    by_level: dict[int, list[str]] = {}
+    below: dict[str, list[str]] = {}
+    for v in lg.graph.vertices:  # sorted, so every row starts sorted
+        by_level.setdefault(lv[v], []).append(v)
+        below[v] = []
+    for u, v in lg.graph.edges:  # proper (check_proper): one end lies just below
+        if lv[u] < lv[v]:
+            below[v].append(u)
+        else:
+            below[u].append(v)
+    levels = sorted(by_level)
 
     chosen: dict[int, tuple[str, ...]] = {}
 
@@ -286,7 +274,7 @@ def _solve_component(
         for cand in candidates:
             if pairs and not _honours(cand, pairs):
                 continue
-            chosen[level] = tuple(cand)
+            chosen[level] = cand
             if extend(idx + 1):
                 return True
         chosen.pop(level, None)
@@ -297,42 +285,24 @@ def _solve_component(
 
 def find_level_embedding(
     lg: LeveledGraph, before: Iterable[Precedence] = ()
-) -> LevelEmbedding | None:
-    """A crossing-free proper-level drawing as per-level orders, or None.
+) -> dict[int, tuple[str, ...]] | None:
+    """A crossing-free proper-level drawing as its rows, level by level,
+    each read left to right; None when there is none.
 
     Every pair (p, q) in ``before`` names two vertices of one level, and
-    the drawing must place p left of q.  Without pairs the components are
-    drawn one by one, side by side; a pair may join two components' rows,
-    so with pairs the whole instance is searched as one unit.  That search
-    is complete on a disconnected instance too, since a vertex with no
+    the drawing must place p left of q.  The whole instance is searched
+    as one unit, so a pair may join two components' rows.  The search is
+    complete on a disconnected instance too, since a vertex with no
     neighbor below may go anywhere in its row.
-
-    The ordering-parity system is decided first.  It is sound as a
-    rejection: a crossing-free drawing that honours ``before`` makes every
-    equation true (its edges do not cross) and every unit true (it honours
-    the pair), so an unsatisfiable system leaves nothing for the search
-    to find.  When the system is satisfiable, the backtracking search
-    decides, in its usual candidate order, so the drawing returned is the
-    one it would have found without the check.
     """
     lg.check_proper()
-    before = list(before)
     lv = lg.levels.levels
     before_by_level: dict[int, list[Precedence]] = {}
     for p, q in before:
         if p == q or p not in lv or lv[p] != lv.get(q):
             raise LevelError(f"precedence pair {p!r}, {q!r} is not on one level")
         before_by_level.setdefault(lv[p], []).append((p, q))
-    if not parity_consistent(lv, lg.graph.edges, before):
-        return None
-    comps = [lg.graph.vertices] if before else lg.graph.components()
-    merged: dict[int, list[str]] = {i: [] for i in range(1, lg.levels.h + 1)}
-    for comp in comps:
-        part = _solve_component(lg, comp, before_by_level)
-        if part is None:
-            return None
-        for i, vs in part.items():
-            merged[i].extend(vs)
-    orders = {i: tuple(vs) for i, vs in merged.items()}
-    assert _crossing_free(lg, orders), "tester produced a crossing drawing"
-    return LevelEmbedding(orders)
+    rows = _search(lg, before_by_level)
+    if rows is not None:
+        assert _crossing_free(lg, rows), "tester produced a crossing drawing"
+    return rows

@@ -21,9 +21,11 @@ plan), and the levels live in one list that shifts the smaller side of
 each join (``_solve_component``).  Each complete labeling is first checked
 on its instance's ordering-parity system with the pairs
 (``levelplan.parity_consistent``, on the indices).  Nearly every branch
-fails there, and only the survivors are named, built and handed, with the
-pairs, to the level-planarity tester, which decides the same system
-first; so every branch's outcome is the one the tester alone would give.
+fails there, and only the survivors are named and handed to
+``_decide_branch``, which decides the same system on the names before it
+builds the instance and hands it, with the pairs, to the level-planarity
+tester.  The system is a necessary condition, so every branch's outcome
+is the one the tester alone would give.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ from .layouts import LayoutKind, LinearLayout, validate_layout
 from .levelplan import (
     LevelAssignment,
     LeveledGraph,
-    LevelEmbedding,
     OffsetUnionFind,
     Precedence,
     find_level_embedding,
@@ -188,9 +189,11 @@ def _side_pairs(vertices, arcs, arching, lv) -> list:
     return pairs
 
 
-def _decide_branch(g: Graph, lab: Labeling, levels: LevelAssignment) -> LevelEmbedding | None:
-    """A drawing of the branch's ordinary arcs that honours its side pairs,
-    or None.
+def _decide_branch(
+    g: Graph, lab: Labeling, levels: LevelAssignment
+) -> dict[int, tuple[str, ...]] | None:
+    """The rows of a drawing of the branch's ordinary arcs that honours
+    its side pairs, or None.
 
     By ``branch_side_filter``'s argument, a branch succeeds exactly when
     such a drawing exists: the source first on each arch level, and every
@@ -215,9 +218,9 @@ def branch_accepts(g: Graph, lab: Labeling, levels: LevelAssignment) -> bool:
 
 
 def embedding_to_queue_layout(
-    g: Graph, lab: Labeling, levels: LevelAssignment, emb: LevelEmbedding
+    g: Graph, lab: Labeling, levels: LevelAssignment, rows: dict[int, tuple[str, ...]]
 ) -> LinearLayout:
-    """Queue layout from a drawing of a branch's instance.
+    """Queue layout from the rows of a drawing of a branch's instance.
 
     The arched side conditions are re-verified on the drawing's rows, and
     the spine concatenates the reversed rows bottom-up.
@@ -227,7 +230,7 @@ def embedding_to_queue_layout(
         if tag is not ArcTag.ARCHING:
             continue
         i = lv[u]
-        row = emb.orders.get(i, ())
+        row = rows.get(i, ())
         if not row or row[0] != u:
             raise QueueSolverError(f"arching source {u!r} is not leftmost on its level")
         pos = {w: j for j, w in enumerate(row)}
@@ -237,7 +240,7 @@ def embedding_to_queue_layout(
 
     spine: list[str] = []
     for i in range(1, levels.h + 1):
-        spine.extend(reversed(emb.orders.get(i, ())))
+        spine.extend(reversed(rows.get(i, ())))
     layout = LinearLayout(LayoutKind.QUEUE, 1, tuple(spine), {e: 1 for e in g.edges})
     report = validate_layout(g, layout)
     if not report.ok:
@@ -315,8 +318,9 @@ def _solve_component(g: Graph) -> BranchResult:
 
     Each leaf decides its ordering-parity system with its side pairs on
     the indices; only a leaf that passes gets its ``Labeling``, its
-    ``LevelAssignment`` and ``_decide_branch``, which decides the same
-    system on the names first, so every leaf's outcome is unchanged.
+    ``LevelAssignment`` and ``_decide_branch``, the one place that decides
+    the system on the names.  The system is a necessary condition, so
+    every leaf's outcome is unchanged.
     """
     names = g.vertices
     index = {v: i for i, v in enumerate(names)}

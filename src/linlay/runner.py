@@ -189,7 +189,7 @@ def _solve_kernel(req: SolveRequest) -> _Solved:
     dec = compute_vertex_integrity(g)
     assert dec is not None
     counters["vi"] = dec.p
-    cert = build_reduced_graph(g, dec, req.pages, req.threshold)
+    cert = build_reduced_graph(g, dec, req.threshold)
     counters["kernel_vertices"] = cert.graph.n
     counters["kernel_groups"] = cert.group_count
 

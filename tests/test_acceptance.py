@@ -126,7 +126,7 @@ def test_criterion_3_kernel_round_trip():
     for core, copy, k, kind, pages in KERNEL_CASES:
         g = twin_gadget(core, copy, k)
         dec = compute_vertex_integrity(g)
-        cert = build_reduced_graph(g, dec, pages, threshold=threshold)
+        cert = build_reduced_graph(g, dec, threshold=threshold)
         assert cert.group_count >= 5, (core, copy, k)
         report = run(
             SolveRequest(g, "kernel", kind, pages, threshold=threshold, oracle_guard=26)
@@ -222,7 +222,7 @@ def test_criterion_8_growth_sanity():
     xs, ys = [], []
     for n in sorted(set(sizes)):
         g = path_graph(n)
-        count = sum(1 for _ in enumerate_states(g, 1, 1, LayoutKind.STACK))
+        count = sum(1 for _ in enumerate_states(g, 1, 1))
         xs.append(math.log(n))
         ys.append(math.log(count))
     # least-squares slope of log(count) against log(n)

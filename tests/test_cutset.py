@@ -133,7 +133,7 @@ def test_state_left_side_sentinels(path3):
 
 def test_enumerate_states_single_edge():
     g = Graph.from_edges([("a", "b")])
-    states = list(enumerate_states(g, 1, 1, LayoutKind.STACK))
+    states = list(enumerate_states(g, 1, 1))
     assert len(set(states)) == len(states) == 4
     assert start_state() in states and goal_state(g) in states
     expected = {
@@ -145,16 +145,16 @@ def test_enumerate_states_single_edge():
 
 def test_enumerate_states_zero_width_only_sentinels(path3):
     sentinels = [start_state(), goal_state(path3)]
-    assert list(enumerate_states(path3, 1, 0, LayoutKind.STACK)) == sentinels
+    assert list(enumerate_states(path3, 1, 0)) == sentinels
 
 
 def test_enumerate_states_triangle_counts():
     tri = cycle_of("a", "b", "c")
-    states = [s for s in enumerate_states(tri, 1, 1, LayoutKind.QUEUE) if s[0]]
+    states = [s for s in enumerate_states(tri, 1, 1) if s[0]]
     # width 1 on one page forbids two-edge cut-sets; each single edge of the
     # triangle leaves the graph connected, so no cut-set exists at all
     assert states == []
-    states2 = [s for s in enumerate_states(tri, 1, 2, LayoutKind.QUEUE) if s[0]]
+    states2 = [s for s in enumerate_states(tri, 1, 2) if s[0]]
     # each pair of edges is a cut-set: 3 pairs x 2 orientations x orders
     assert all(len(s[0]) == 2 for s in states2)
     assert len(set(states2)) == len(states2)
@@ -388,7 +388,7 @@ def test_enumerate_states_within_formulaic_bound():
 
     tri = cycle_of("a", "b", "c")
     pages, width = 1, 2
-    count = sum(1 for _ in enumerate_states(tri, pages, width, LayoutKind.QUEUE))
+    count = sum(1 for _ in enumerate_states(tri, pages, width))
     qll = pages * width
     bound = (tri.m ** qll) * (pages ** qll) * math.factorial(2 * qll) + 2
     assert count <= bound
@@ -434,7 +434,7 @@ def test_successors_agree_with_literal_arc_conditions():
     ]
     for g, kind, pages, width in cases:
         states = [
-            s for s in enumerate_states(g, pages, width, kind)
+            s for s in enumerate_states(g, pages, width)
             if _mini_layout_is_valid(g, s, kind, pages, width)
         ]
         for sx in states:
@@ -489,5 +489,5 @@ def test_enumerate_states_matches_definition_bruteforce():
                             expected.add(state_of(g, cut, pv))
         expected.add(start_state())
         expected.add(goal_state(g))
-        got = set(enumerate_states(g, pages, width, kind))
+        got = set(enumerate_states(g, pages, width))
         assert got == expected, (g.edges, kind.value, pages, width)

@@ -251,7 +251,7 @@ def test_twin_relation_is_equivalence():
 def test_default_threshold_folds_everything():
     g = Graph.from_edges([("a", "b"), ("b", "c"), ("c", "d"), ("b", "p"), ("c", "q")])
     dec = compute_vertex_integrity(g)
-    cert = build_reduced_graph(g, dec, 1)
+    cert = build_reduced_graph(g, dec)
     assert cert.covers_whole_graph(g)
     assert cert.group_count == 0
     assert cert.large_class_ids == () and cert.threshold is None
@@ -260,7 +260,7 @@ def test_default_threshold_folds_everything():
 def test_overridden_threshold_star_of_pendants():
     g = star_of("s", [f"p{i}" for i in range(10)])
     dec = compute_vertex_integrity(g)
-    cert = build_reduced_graph(g, dec, 1, threshold=3)
+    cert = build_reduced_graph(g, dec, threshold=3)
     # one class of ten pendants, threshold 3: keep the core plus 3 groups
     assert cert.group_count == 3
     assert cert.graph.n == 1 + 3
@@ -273,7 +273,7 @@ def test_folding_loop_absorbs_small_classes():
     edges = [("a", f"p{i}") for i in range(6)] + [("a", "b"), ("b", "q0"), ("b", "q1")]
     g = Graph.from_edges(edges)
     dec = compute_vertex_integrity(g)
-    cert = build_reduced_graph(g, dec, 1, threshold=3)
+    cert = build_reduced_graph(g, dec, threshold=3)
     if set(dec.separator) == {"a", "b"}:
         assert cert.group_count == 3
         assert set(cert.s_prime) == {"q0", "q1"}
@@ -285,7 +285,7 @@ def test_folding_loop_absorbs_small_classes():
 def test_guiding_sublayout_on_identical_groups():
     g = twin_gadget(1, 1, 8)
     dec = compute_vertex_integrity(g)
-    cert = build_reduced_graph(g, dec, 1, threshold=5)
+    cert = build_reduced_graph(g, dec, threshold=5)
     assert cert.group_count == 5
     kernel_layout = solve_exhaustive(OracleQuery(cert.graph, LayoutKind.STACK, 1))
     assert kernel_layout is not None
@@ -302,7 +302,7 @@ def test_guiding_sublayout_on_identical_groups():
 def test_guiding_requires_five_groups():
     g = twin_gadget(1, 1, 6)
     dec = compute_vertex_integrity(g)
-    cert = build_reduced_graph(g, dec, 1, threshold=3)
+    cert = build_reduced_graph(g, dec, threshold=3)
     layout = solve_exhaustive(OracleQuery(cert.graph, LayoutKind.STACK, 1))
     assert find_guiding_sublayout(layout, cert) is None
 
@@ -313,7 +313,7 @@ def test_lift_blocks_websequence_asc_desc():
     g = twin_gadget(1, 2, 6)
     dec = compute_vertex_integrity(g)
     assert dec.separator == ("a0",)
-    cert = build_reduced_graph(g, dec, 1, threshold=5)
+    cert = build_reduced_graph(g, dec, threshold=5)
     assert cert.group_count == 5
     layout = solve_exhaustive(OracleQuery(cert.graph, LayoutKind.STACK, 1))
     guide = find_guiding_sublayout(layout, cert)
@@ -350,11 +350,20 @@ def test_solve_via_kernel_whole_graph_passthrough():
     assert got == direct
 
 
+def test_class_of_exactly_threshold_members_keeps_the_whole_graph():
+    # the five pendants form one large class, and all five are kept as
+    # groups: the kernel is the whole graph, so nothing is lifted
+    g = twin_gadget(1, 1, 5)
+    report = run(SolveRequest(g, "kernel", LayoutKind.STACK, 1, threshold=5))
+    assert report.verdict == "found"
+    assert report.counters == {"vi": 2, "kernel_vertices": 6, "kernel_groups": 5}
+
+
 def test_kernel_restriction_soundness():
     # any layout of the full graph restricts to a valid kernel layout
     g = twin_gadget(2, 1, 7)
     dec = compute_vertex_integrity(g)
-    cert = build_reduced_graph(g, dec, 1, threshold=5)
+    cert = build_reduced_graph(g, dec, threshold=5)
     full = solve_exhaustive(OracleQuery(g, LayoutKind.STACK, 1), guard=16)
     assert full is not None
     keep = set(cert.graph.vertices)
@@ -373,7 +382,7 @@ def test_no_matching_triple_reports_absent():
     # candidate pullbacks differ pairwise, leaving no monochromatic triple
     g = twin_gadget(1, 1, 8)
     dec = compute_vertex_integrity(g)
-    cert = build_reduced_graph(g, dec, 2, threshold=5)
+    cert = build_reduced_graph(g, dec, threshold=5)
     assert cert.group_count == 5
     pendants = sorted(v for v in cert.graph.vertices if v != "a0")
     spine = ("a0",) + tuple(pendants)
@@ -407,7 +416,7 @@ def test_guide_with_ascending_and_descending_blocks():
     g = Graph.from_edges(edges)
     dec = compute_vertex_integrity(g)
     assert dec.separator == (core,)
-    cert = build_reduced_graph(g, dec, 1, threshold=5)
+    cert = build_reduced_graph(g, dec, threshold=5)
     assert cert.group_count == 5 and len(cert.large_class_ids) == 2
 
     spine = [core] + pend[2:]  # reference groups hold p00/p01; rest ascend

@@ -247,3 +247,23 @@ def test_perfbench_span_targets_resolve():
                if not hasattr(importlib.import_module(f"linlay.{module}"), attr)]
     assert missing == []
     assert {"components", "induced"} <= vars(Graph).keys()
+
+
+def test_package_functions_read_every_parameter():
+    """A parameter that its function never reads is a dead parameter.
+    Nested functions count; ``self`` and ``cls`` are exempt, and so are
+    lambdas, which fill a fixed signature (the generator table)."""
+    unread = []
+    for path in sorted(Path(linlay.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            args = node.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                      args.vararg, args.kwarg) if a is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            unread += [f"{path.name}:{node.lineno} {node.name}({p})" for p in params
+                       if p not in read and p not in ("self", "cls")]
+    assert unread == []

@@ -256,12 +256,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     "argv",
     [
         ["oracle", "G", "--kind", "stack", "--pages", "0"],
-        ["kernelize", "G", "--pages", "0"],
         ["solve", "G", "--algo", "cutset", "--kind", "stack", "--pages", "1", "--width", "-1"],
         ["solve", "G", "--algo", "kernel", "--kind", "stack", "--pages", "1", "--width", "0"],
         ["solve", "G", "--algo", "queue1", "--kind", "queue", "--pages", "1", "--width", "2"],
         ["solve", "G", "--algo", "kernel", "--kind", "stack", "--pages", "1", "--threshold", "-1"],
-        ["kernelize", "G", "--pages", "1", "--threshold", "-1"],
+        ["kernelize", "G", "--threshold", "-1"],
         ["bench", "G", "--algo", "kernel", "--kind", "stack", "--pages", "1", "--threshold", "-1"],
         ["vi", "G", "--budget", "0"],
         ["vi", "G", "--budget", "-1"],
@@ -301,9 +300,9 @@ def test_cli_invalid_arguments_exit_3(tmp_path, capsys, argv):
                       "--out", "-"], "--out", id="solve---out"),
         pytest.param(["oracle", "G", "--kind", "queue", "--pages", "1", "--count",
                       "--out", "c5.json"], "--out", id="oracle---count---out"),
-        pytest.param(["kernelize", "G", "--pages", "1", "--out-graph", "-"], "--out-graph",
+        pytest.param(["kernelize", "G", "--out-graph", "-"], "--out-graph",
                      id="kernelize---out-graph"),
-        pytest.param(["kernelize", "G", "--pages", "1", "--out-graph", "k", "--out-cert", "k"],
+        pytest.param(["kernelize", "G", "--out-graph", "k", "--out-cert", "k"],
                      "--out-cert", id="kernelize---out-graph---out-cert"),
     ],
 )
@@ -431,7 +430,7 @@ def test_cli_vi_and_kernelize(tmp_path, capsys):
     cert_path = str(tmp_path / "cert.json")
     kernel_path = str(tmp_path / "kernel.graph")
     assert main(
-        ["kernelize", path, "--pages", "1", "--threshold", "5",
+        ["kernelize", path, "--threshold", "5",
          "--out-graph", kernel_path, "--out-cert", cert_path]
     ) == 0
     cert = json.loads((tmp_path / "cert.json").read_text())
@@ -509,7 +508,7 @@ def test_cli_kernelize_golden(tmp_path, capsys, threshold):
     path = write_graph(tmp_path, twin_gadget(2, 2, 10))
     cert = tmp_path / "cert.json"
     extra = [] if threshold is None else ["--threshold", str(threshold)]
-    assert main(["kernelize", path, "--pages", "2", *extra, "--out-cert", str(cert)]) == 0
+    assert main(["kernelize", path, *extra, "--out-cert", str(cert)]) == 0
     name = "none" if threshold is None else threshold
     golden = Path(__file__).parent / "data" / f"kernelize_tg_2_2_10_2p_t{name}.json"
     assert cert.read_bytes() == golden.read_bytes()
@@ -623,7 +622,7 @@ def test_cli_layout_with_a_repeated_edge_exits_3(tmp_path, capsys, command):
         ["vi", "BAD"],
         ["solve", "BAD", "--algo", "oracle", "--kind", "stack", "--pages", "1"],
         ["oracle", "BAD", "--kind", "stack", "--pages", "1"],
-        ["kernelize", "BAD", "--pages", "1"],
+        ["kernelize", "BAD"],
         ["bench", "BAD", "--algo", "oracle", "--kind", "stack", "--pages", "1"],
         ["validate", "BAD", "BAD"],
         ["render", "BAD", "--out", "-"],
